@@ -32,6 +32,7 @@
 #include "harness/plan_file.hh"
 #include "metrics/export.hh"
 #include "report/artifact.hh"
+#include "report/codec.hh"
 #include "support/flags.hh"
 #include "support/strfmt.hh"
 #include "support/table.hh"
@@ -59,7 +60,7 @@ configHash(const harness::ExperimentPlan &plan)
     for (auto algorithm : plan.collectors)
         canon += std::string("|c:") + gc::algorithmName(algorithm);
     for (double f : plan.heap_factors)
-        canon += "|f:" + harness::CheckpointJournal::encodeDouble(f);
+        canon += "|f:" + report::encodeDouble(f);
     canon += "|i:" + std::to_string(plan.options.iterations);
     canon += "|n:" + std::to_string(plan.options.invocations);
     canon += "|z:" + std::to_string(static_cast<int>(plan.options.size));
@@ -67,20 +68,16 @@ configHash(const harness::ExperimentPlan &plan)
     canon += "|r:" + std::to_string(plan.options.retries);
     canon += "|fs:" + std::to_string(plan.options.faults.seed);
     for (std::size_t i = 0; i < fault::kSiteCount; ++i) {
-        canon += "|fr:" + harness::CheckpointJournal::encodeDouble(
-                              plan.options.faults.rates[i]);
+        canon +=
+            "|fr:" + report::encodeDouble(plan.options.faults.rates[i]);
     }
     if (plan.kind == harness::ExperimentPlan::Kind::OpenLoop) {
         canon += "|a:";
         canon += load::arrivalKindName(plan.arrival.kind);
-        canon += "|br:" + harness::CheckpointJournal::encodeDouble(
-                              plan.arrival.burst_ratio);
-        canon += "|bd:" + harness::CheckpointJournal::encodeDouble(
-                              plan.arrival.burst_duty);
-        for (double f : plan.load_factors) {
-            canon +=
-                "|lf:" + harness::CheckpointJournal::encodeDouble(f);
-        }
+        canon += "|br:" + report::encodeDouble(plan.arrival.burst_ratio);
+        canon += "|bd:" + report::encodeDouble(plan.arrival.burst_duty);
+        for (double f : plan.load_factors)
+            canon += "|lf:" + report::encodeDouble(f);
         for (const auto &mode : plan.pacing_modes)
             canon += "|pm:" + mode;
     }

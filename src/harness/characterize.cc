@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "counters/perf_session.hh"
-#include "exec/parallel_for.hh"
-#include "exec/pool.hh"
 #include "harness/minheap.hh"
 #include "metrics/summary.hh"
 #include "support/logging.hh"
@@ -314,51 +311,6 @@ measureWorkloadStats(const workloads::Descriptor &workload,
         if (const auto v = shipped.get(w, id))
             out.set(w, id, *v);
     }
-}
-
-stats::StatTable
-measureSuiteStats(const CharacterizeOptions &options)
-{
-    const auto &suite = workloads::suite();
-    trace::TraceSink *sink = options.base.trace;
-
-    // Characterize workloads concurrently: each gets its own result
-    // table and (when tracing) its own shard, assembled in suite
-    // order afterwards so output is independent of jobs.
-    std::vector<stats::StatTable> tables(suite.size());
-    std::vector<std::unique_ptr<trace::TraceSink>> shards(suite.size());
-    const std::size_t jobs = exec::resolveJobs(options.base.jobs);
-    exec::parallel_for(
-        exec::Pool::shared(), suite.size(),
-        [&](std::size_t i) {
-            CharacterizeOptions wl_options = options;
-            if (sink != nullptr) {
-                shards[i] = std::make_unique<trace::TraceSink>(
-                    sink->shardOptions());
-                wl_options.base.trace = shards[i].get();
-            }
-            measureWorkloadStats(suite[i], wl_options, tables[i]);
-        },
-        jobs);
-
-    stats::StatTable table;
-    for (std::size_t i = 0; i < suite.size(); ++i) {
-        if (sink != nullptr) {
-            const auto track = sink->registerTrack("harness");
-            const char *label = sink->internName(
-                "characterize " + suite[i].name);
-            const double begin = sink->timeBase();
-            const double end = begin + shards[i]->timeBase();
-            sink->beginSpanAbs(track, trace::Category::Harness, label,
-                               begin);
-            sink->merge(*shards[i], begin);
-            sink->endSpanAbs(track, trace::Category::Harness, label,
-                             end);
-            sink->setTimeBase(end);
-        }
-        table.merge(tables[i]);
-    }
-    return table;
 }
 
 } // namespace capo::harness

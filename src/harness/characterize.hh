@@ -53,9 +53,6 @@ void measureWorkloadStats(const workloads::Descriptor &workload,
                           const CharacterizeOptions &options,
                           stats::StatTable &out);
 
-/** Characterize the whole suite. */
-stats::StatTable measureSuiteStats(const CharacterizeOptions &options);
-
 } // namespace capo::harness
 
 #endif // CAPO_HARNESS_CHARACTERIZE_HH

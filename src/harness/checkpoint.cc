@@ -25,18 +25,6 @@ headerLine(std::uint64_t config_hash)
 
 } // namespace
 
-std::string
-CheckpointJournal::encodeDouble(double value)
-{
-    return report::encodeDouble(value);
-}
-
-bool
-CheckpointJournal::decodeDouble(const std::string &text, double &value)
-{
-    return report::decodeDouble(text, value);
-}
-
 std::unique_ptr<CheckpointJournal>
 CheckpointJournal::open(const std::string &path,
                         std::uint64_t config_hash, bool resume,

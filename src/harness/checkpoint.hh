@@ -103,13 +103,6 @@ class CheckpointJournal
      */
     bool compact();
 
-    /** @{ Exact double round-tripping, shared with the report layer
-     *  (report/codec.hh): 16 hex digits of the IEEE-754 bit pattern,
-     *  immune to decimal formatting loss. */
-    static std::string encodeDouble(double value);
-    static bool decodeDouble(const std::string &text, double &value);
-    /** @} */
-
   private:
     CheckpointJournal() = default;
 

@@ -5,12 +5,12 @@
  *
  * Each (workload, collector, heap-factor) cell runs one traced
  * invocation, synthesizes the request log, and summarises it as five
- * quantiles. With a checkpoint journal attached the quantiles are
- * journaled per cell under DESIGN.md §8's key scheme
- * (latency/<workload>/<collector>/<factor-bits>) so an interrupted
- * latency plan resumes without re-running finished cells — and
- * because quantiles are stored as exact bit patterns, the resumed
- * tables are byte-identical to an uninterrupted run.
+ * quantiles. Cells run on the sweep kernel (harness/sweep.hh): they
+ * fan out across base.jobs and, with a checkpoint journal attached,
+ * journal their quantiles under DESIGN.md §8's key scheme
+ * (latency/<workload>/<collector>/<factor-bits>). Quantiles are stored
+ * as exact bit patterns, so a resumed plan's tables are byte-identical
+ * to an uninterrupted run.
  */
 
 #ifndef CAPO_HARNESS_LATENCY_EXPERIMENT_HH
@@ -34,17 +34,14 @@ struct LatencySweepOptions
         gc::productionCollectors();
     ExperimentOptions base;
 
-    /**
-     * Optional checkpoint journal (non-owning; null disables). Every
-     * finished cell appends its quantiles; on resume, journaled cells
-     * restore instead of re-running — except when @c want_raw is set:
-     * the journal carries cell summaries, not per-request logs, so a
-     * sweep that needs raw request CSVs re-runs every cell
-     * (deterministically, so the CSVs are identical) while the
-     * journal still extends for summary-only resumes later. This is
-     * the same restore-bypass contract traced LBO sweeps follow.
-     */
+    /** Optional checkpoint journal (non-owning; null disables).
+     *  Restore, append and fan-out follow the sweep kernel
+     *  (harness/sweep.hh); cells fan out up to base.jobs. */
     CheckpointJournal *journal = nullptr;
+
+    /** The caller needs every cell's raw request log. The journal
+     *  carries quantiles only, so this counts as journal-insufficient
+     *  in the kernel's restore rule. */
     bool want_raw = false;
 
     /** Metered-latency smoothing window (ns). */

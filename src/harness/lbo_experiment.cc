@@ -1,61 +1,48 @@
 #include "harness/lbo_experiment.hh"
 
-#include <cstdlib>
-#include <memory>
-
-#include "exec/parallel_for.hh"
-#include "exec/pool.hh"
+#include "harness/sweep.hh"
 #include "metrics/summary.hh"
+#include "report/codec.hh"
 #include "support/logging.hh"
-#include "trace/hot_metrics.hh"
 
 namespace capo::harness {
 
 namespace {
 
-/** One (collector, factor) cell of the sweep grid. */
-struct SweepCell
+/** One (collector, factor) cell's summary — computed from its
+ *  invocations after a live run, or decoded from the journal. */
+struct LboCell
 {
-    gc::Algorithm algorithm;
+    gc::Algorithm algorithm = gc::Algorithm::G1;
     double factor = 0.0;
-    harness::InvocationSet set;
-    std::unique_ptr<trace::TraceSink> shard;
-
-    /** @{ Cell summary — computed from `set` after a live run, or
-     *  decoded from the checkpoint journal on restore. */
-    bool restored = false;
     bool ok = false;
     std::uint64_t dispatches = 0;
     metrics::RunCost cost;
     std::vector<CellError> errors;
-    /** @} */
 };
 
 std::string
-cellKey(const std::string &workload, const std::string &collector,
-        double factor)
+cellKey(const std::string &workload, const LboCell &cell)
 {
     // The factor is keyed by its exact bit pattern: a sweep resumed
     // with even slightly different factors must miss, not alias.
-    return "lbo/" + workload + "/" + collector + "/" +
-           CheckpointJournal::encodeDouble(factor);
+    return "lbo/" + workload + "/" + gc::algorithmName(cell.algorithm) +
+           "/" + report::encodeDouble(cell.factor);
 }
 
 /** Journal fields: ok, dispatches, cost (4 exact doubles), then one
  *  "e:<invocation>:<attempts>:<kind>" field per quarantined error. */
 std::vector<std::string>
-encodeCell(const SweepCell &cell)
+encodeCell(const LboCell &cell)
 {
     std::vector<std::string> fields;
     fields.reserve(6 + cell.errors.size());
     fields.push_back(cell.ok ? "1" : "0");
     fields.push_back(std::to_string(cell.dispatches));
-    fields.push_back(CheckpointJournal::encodeDouble(cell.cost.wall));
-    fields.push_back(CheckpointJournal::encodeDouble(cell.cost.cpu));
-    fields.push_back(
-        CheckpointJournal::encodeDouble(cell.cost.stw_wall));
-    fields.push_back(
-        CheckpointJournal::encodeDouble(cell.cost.stw_cpu));
+    fields.push_back(report::encodeDouble(cell.cost.wall));
+    fields.push_back(report::encodeDouble(cell.cost.cpu));
+    fields.push_back(report::encodeDouble(cell.cost.stw_wall));
+    fields.push_back(report::encodeDouble(cell.cost.stw_cpu));
     for (const auto &e : cell.errors) {
         fields.push_back("e:" + std::to_string(e.invocation) + ":" +
                          std::to_string(e.attempts) + ":" + e.kind);
@@ -65,22 +52,14 @@ encodeCell(const SweepCell &cell)
 
 bool
 decodeCell(const std::vector<std::string> &fields,
-           const std::string &workload, const std::string &collector,
-           SweepCell &cell)
+           const std::string &workload, LboCell &cell)
 {
-    if (fields.size() < 6)
-        return false;
-    cell.ok = fields[0] == "1";
-    char *end = nullptr;
-    cell.dispatches = std::strtoull(fields[1].c_str(), &end, 10);
-    if (end == nullptr || *end != '\0')
-        return false;
-    if (!CheckpointJournal::decodeDouble(fields[2], cell.cost.wall) ||
-        !CheckpointJournal::decodeDouble(fields[3], cell.cost.cpu) ||
-        !CheckpointJournal::decodeDouble(fields[4],
-                                         cell.cost.stw_wall) ||
-        !CheckpointJournal::decodeDouble(fields[5],
-                                         cell.cost.stw_cpu)) {
+    if (fields.size() < 6 || !report::decodeBool(fields[0], cell.ok) ||
+        !report::decodeUint(fields[1], cell.dispatches) ||
+        !report::decodeDouble(fields[2], cell.cost.wall) ||
+        !report::decodeDouble(fields[3], cell.cost.cpu) ||
+        !report::decodeDouble(fields[4], cell.cost.stw_wall) ||
+        !report::decodeDouble(fields[5], cell.cost.stw_cpu)) {
         return false;
     }
     for (std::size_t i = 6; i < fields.size(); ++i) {
@@ -94,14 +73,47 @@ decodeCell(const std::vector<std::string> &fields,
             return false;
         CellError e;
         e.workload = workload;
-        e.collector = collector;
+        e.collector = gc::algorithmName(cell.algorithm);
         e.heap_factor = cell.factor;
-        e.invocation = std::atoi(f.substr(2, c1 - 2).c_str());
-        e.attempts = std::atoi(f.substr(c1 + 1, c2 - c1 - 1).c_str());
         e.kind = f.substr(c2 + 1);
+        if (!report::decodeInt(f.substr(2, c1 - 2), e.invocation) ||
+            !report::decodeInt(f.substr(c1 + 1, c2 - c1 - 1),
+                               e.attempts)) {
+            return false;
+        }
         cell.errors.push_back(std::move(e));
     }
     return true;
+}
+
+/** Run every invocation of one cell and summarise it. jobs also fans
+ *  the invocations inside the cell (help-first scheduling makes the
+ *  nesting deadlock-free). */
+void
+runCell(const workloads::Descriptor &workload,
+        const ExperimentOptions &options, LboCell &cell)
+{
+    const std::string name = gc::algorithmName(cell.algorithm);
+    const auto set =
+        Runner(options).run(workload, cell.algorithm, cell.factor);
+    for (const auto &run : set.runs)
+        cell.dispatches += run.dispatches;
+    cell.ok = set.allCompleted();
+    if (cell.ok)
+        cell.cost = set.meanTimedCost();
+    for (std::size_t inv = 0; inv < set.runs.size(); ++inv) {
+        const auto &run = set.runs[inv];
+        if (run.usable())
+            continue;
+        CellError e;
+        e.workload = workload.name;
+        e.collector = name;
+        e.heap_factor = cell.factor;
+        e.invocation = static_cast<int>(inv);
+        e.attempts = run.attempts;
+        e.kind = errorKind(run);
+        cell.errors.push_back(std::move(e));
+    }
 }
 
 } // namespace
@@ -110,112 +122,40 @@ WorkloadLbo
 runLboSweep(const workloads::Descriptor &workload,
             const LboSweepOptions &options)
 {
-    WorkloadLbo result;
-    result.workload = workload.name;
-
-    trace::TraceSink *sink = options.base.trace;
-    CheckpointJournal *journal = options.journal;
-    // The journal stores cell summaries, not event timelines, so a
-    // traced sweep re-runs every cell (deterministically — the trace
-    // comes out identical) and only CSV-producing sweeps restore.
-    const bool restore = journal != nullptr && sink == nullptr;
-
-    // Lay the grid out row-major (collector, then factor) so the
-    // merged timeline and the result maps read in the same order the
-    // old serial loop produced.
-    std::vector<SweepCell> cells;
+    // Row-major grid (collector, then factor): the merged timeline
+    // and the result maps read in the same order.
+    std::vector<LboCell> cells;
     cells.reserve(options.collectors.size() * options.factors.size());
     for (auto algorithm : options.collectors) {
-        for (double factor : options.factors)
-            cells.push_back({algorithm, factor, {}, nullptr});
-    }
-
-    if (restore) {
-        for (auto &cell : cells) {
-            const std::string name = gc::algorithmName(cell.algorithm);
-            std::vector<std::string> fields;
-            if (journal->lookup(cellKey(workload.name, name,
-                                        cell.factor),
-                                fields) &&
-                decodeCell(fields, workload.name, name, cell)) {
-                cell.restored = true;
-                ++result.restored_cells;
-            }
+        for (double factor : options.factors) {
+            LboCell cell;
+            cell.algorithm = algorithm;
+            cell.factor = factor;
+            cells.push_back(std::move(cell));
         }
     }
 
-    // Every cell runs through its own Runner writing into its own
-    // shard sink; cell seeds depend only on cell coordinates, so the
-    // fan-out is unobservable in the results. jobs also fans the
-    // invocations inside each cell (help-first scheduling makes the
-    // nesting deadlock-free).
-    const std::size_t jobs = exec::resolveJobs(options.base.jobs);
-    exec::parallel_for(
-        exec::Pool::shared(), cells.size(),
-        [&](std::size_t i) {
-            auto &cell = cells[i];
-            if (cell.restored)
-                return;
-            ExperimentOptions cell_options = options.base;
-            if (sink != nullptr) {
-                cell.shard = trace::TraceSink::acquireShard(
-                    sink->shardOptions());
-                cell_options.trace = cell.shard.get();
-            }
-            Runner runner(cell_options);
-            cell.set =
-                runner.run(workload, cell.algorithm, cell.factor);
-            trace::hot::count(trace::hot::SweepCellsCompleted);
-        },
-        jobs);
+    Sweep<LboCell> sweep;
+    sweep.key = [&](const LboCell &c) { return cellKey(workload.name, c); };
+    sweep.encode = encodeCell;
+    sweep.decode = [&](const std::vector<std::string> &fields,
+                       LboCell &c) {
+        return decodeCell(fields, workload.name, c);
+    };
+    sweep.label = [](const LboCell &c) {
+        return std::string(gc::algorithmName(c.algorithm)) + " @ " +
+               support::concat(c.factor) + "x";
+    };
+    sweep.body = [&](LboCell &c, const ExperimentOptions &o) {
+        runCell(workload, o, c);
+    };
 
-    const auto track =
-        sink ? sink->registerTrack("harness") : trace::TrackId{0};
-    for (auto &cell : cells) {
+    WorkloadLbo result;
+    result.workload = workload.name;
+    result.restored_cells =
+        sweep.run(cells, options.base, options.journal);
+    for (const auto &cell : cells) {
         const std::string name = gc::algorithmName(cell.algorithm);
-        if (!cell.restored) {
-            for (const auto &run : cell.set.runs)
-                cell.dispatches += run.dispatches;
-            cell.ok = cell.set.allCompleted();
-            if (cell.ok)
-                cell.cost = cell.set.meanTimedCost();
-            for (std::size_t inv = 0; inv < cell.set.runs.size();
-                 ++inv) {
-                const auto &run = cell.set.runs[inv];
-                if (run.usable())
-                    continue;
-                CellError e;
-                e.workload = workload.name;
-                e.collector = name;
-                e.heap_factor = cell.factor;
-                e.invocation = static_cast<int>(inv);
-                e.attempts = run.attempts;
-                e.kind = errorKind(run);
-                cell.errors.push_back(std::move(e));
-            }
-            if (journal != nullptr) {
-                journal->append(cellKey(workload.name, name,
-                                        cell.factor),
-                                encodeCell(cell));
-            }
-        }
-        if (sink) {
-            // One sweep-cell span wrapping this cell's invocations;
-            // the cell shard's time base advanced past every
-            // invocation, so it is also the cell's duration.
-            const char *label = sink->internName(
-                name + " @ " + support::concat(cell.factor) + "x");
-            const double cell_begin = sink->timeBase();
-            const double cell_end =
-                cell_begin + cell.shard->timeBase();
-            sink->beginSpanAbs(track, trace::Category::Harness, label,
-                               cell_begin);
-            sink->merge(*cell.shard, cell_begin);
-            sink->endSpanAbs(track, trace::Category::Harness, label,
-                             cell_end);
-            sink->setTimeBase(cell_end);
-            trace::TraceSink::releaseShard(std::move(cell.shard));
-        }
         result.dispatches += cell.dispatches;
         result.completed[{name, cell.factor}] = cell.ok;
         if (cell.ok)

@@ -28,15 +28,9 @@ struct LboSweepOptions
         gc::productionCollectors();
     ExperimentOptions base;
 
-    /**
-     * Optional checkpoint journal (non-owning; null disables). Every
-     * finished cell appends its result; on resume, journaled cells are
-     * restored from their recorded bit patterns instead of re-running
-     * — except when tracing is on: the journal cannot carry a cell's
-     * event timeline, so restore is bypassed and every cell re-runs
-     * (deterministically, so the trace is identical) while the journal
-     * still extends for CSV-only resumes later.
-     */
+    /** Optional checkpoint journal (non-owning; null disables),
+     *  under lbo/<workload>/<collector>/<factor-bits> keys. Restore,
+     *  append and fan-out follow the sweep kernel (harness/sweep.hh). */
     CheckpointJournal *journal = nullptr;
 };
 

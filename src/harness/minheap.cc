@@ -1,10 +1,9 @@
 #include "harness/minheap.hh"
 
 #include <algorithm>
-#include <memory>
 
-#include "exec/parallel_for.hh"
-#include "exec/pool.hh"
+#include "harness/sweep.hh"
+#include "report/codec.hh"
 #include "support/logging.hh"
 #include "workloads/registry.hh"
 
@@ -73,17 +72,6 @@ MinHeapGrid::at(const std::string &workload,
     return nullptr;
 }
 
-namespace {
-
-std::string
-minHeapKey(const std::string &workload, gc::Algorithm algorithm)
-{
-    return "minheap/" + workload + "/" +
-           gc::algorithmName(algorithm);
-}
-
-} // namespace
-
 MinHeapGrid
 findMinHeapGrid(const std::vector<std::string> &workload_names,
                 const std::vector<gc::Algorithm> &collectors,
@@ -97,79 +85,35 @@ findMinHeapGrid(const std::vector<std::string> &workload_names,
             grid.cells.push_back({name, algorithm, {}});
     }
 
-    trace::TraceSink *sink = options.trace;
-    std::vector<std::unique_ptr<trace::TraceSink>> shards(
-        grid.cells.size());
-
-    // Restore journaled searches (CSV-only runs; see LboSweepOptions
-    // for why tracing bypasses restore). Fields: exact min-heap bit
-    // pattern, probe count, converged flag.
-    std::vector<char> restored(grid.cells.size(), 0);
-    if (journal != nullptr && sink == nullptr) {
-        for (std::size_t i = 0; i < grid.cells.size(); ++i) {
-            auto &cell = grid.cells[i];
-            std::vector<std::string> fields;
-            if (!journal->lookup(minHeapKey(cell.workload,
-                                            cell.algorithm),
-                                 fields) ||
-                fields.size() != 3) {
-                continue;
-            }
-            MinHeapResult r;
-            if (!CheckpointJournal::decodeDouble(fields[0],
-                                                 r.min_heap_mb))
-                continue;
-            r.probes = std::atoi(fields[1].c_str());
-            r.converged = fields[2] == "1";
-            cell.result = r;
-            restored[i] = 1;
-        }
-    }
-
-    const std::size_t jobs = exec::resolveJobs(options.jobs);
-    exec::parallel_for(
-        exec::Pool::shared(), grid.cells.size(),
-        [&](std::size_t i) {
-            auto &cell = grid.cells[i];
-            if (restored[i])
-                return;
-            ExperimentOptions cell_options = options;
-            if (sink != nullptr) {
-                shards[i] = std::make_unique<trace::TraceSink>(
-                    sink->shardOptions());
-                cell_options.trace = shards[i].get();
-            }
-            cell.result =
-                findMinHeapMb(workloads::byName(cell.workload),
-                              cell.algorithm, cell_options, tolerance);
-            if (journal != nullptr) {
-                journal->append(
-                    minHeapKey(cell.workload, cell.algorithm),
-                    {CheckpointJournal::encodeDouble(
-                         cell.result.min_heap_mb),
-                     std::to_string(cell.result.probes),
-                     cell.result.converged ? "1" : "0"});
-            }
-        },
-        jobs);
-
-    if (sink != nullptr) {
-        const auto track = sink->registerTrack("harness");
-        for (std::size_t i = 0; i < grid.cells.size(); ++i) {
-            const auto &cell = grid.cells[i];
-            const char *label = sink->internName(
-                "minheap " + cell.workload + "/" +
-                gc::algorithmName(cell.algorithm));
-            const double begin = sink->timeBase();
-            const double end = begin + shards[i]->timeBase();
-            sink->beginSpanAbs(track, trace::Category::Harness, label,
-                               begin);
-            sink->merge(*shards[i], begin);
-            sink->endSpanAbs(track, trace::Category::Harness, label,
-                             end);
-            sink->setTimeBase(end);
-        }
-    }
+    // Journal fields: exact min-heap bit pattern, probe count,
+    // converged flag.
+    Sweep<MinHeapCell> sweep;
+    sweep.key = [](const MinHeapCell &c) {
+        return "minheap/" + c.workload + "/" +
+               gc::algorithmName(c.algorithm);
+    };
+    sweep.encode = [](const MinHeapCell &c) {
+        return std::vector<std::string>{
+            report::encodeDouble(c.result.min_heap_mb),
+            std::to_string(c.result.probes),
+            c.result.converged ? "1" : "0"};
+    };
+    sweep.decode = [](const std::vector<std::string> &fields,
+                      MinHeapCell &c) {
+        return fields.size() == 3 &&
+               report::decodeDouble(fields[0], c.result.min_heap_mb) &&
+               report::decodeInt(fields[1], c.result.probes) &&
+               report::decodeBool(fields[2], c.result.converged);
+    };
+    sweep.label = [](const MinHeapCell &c) {
+        return "minheap " + c.workload + "/" +
+               gc::algorithmName(c.algorithm);
+    };
+    sweep.body = [&](MinHeapCell &c, const ExperimentOptions &o) {
+        c.result = findMinHeapMb(workloads::byName(c.workload),
+                                 c.algorithm, o, tolerance);
+    };
+    sweep.run(grid.cells, options, journal);
     return grid;
 }
 

@@ -65,14 +65,13 @@ struct MinHeapGrid
 /**
  * Run findMinHeapMb() for every (workload, collector) pair. Each
  * bisection is inherently sequential, so the fan-out happens at the
- * grid level: `options.jobs` searches run concurrently, each tracing
- * into its own shard, with results and trace shards assembled in
- * row-major grid order so any jobs value yields identical output.
+ * grid level, on the sweep kernel (harness/sweep.hh): `options.jobs`
+ * searches run concurrently and any jobs value yields identical
+ * output.
  *
- * @param journal Optional checkpoint journal (non-owning): finished
- *        searches append their exact result and, on resume, journaled
- *        cells restore instead of re-bisecting — unless tracing is on
- *        (the journal carries no timelines; see LboSweepOptions).
+ * @param journal Optional checkpoint journal (non-owning), under
+ *        minheap/<workload>/<collector> keys; restore and append
+ *        follow the kernel.
  */
 MinHeapGrid findMinHeapGrid(const std::vector<std::string> &workload_names,
                             const std::vector<gc::Algorithm> &collectors,

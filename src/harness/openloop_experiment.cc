@@ -1,15 +1,14 @@
 #include "harness/openloop_experiment.hh"
 
-#include <algorithm>
+#include <atomic>
 
-#include "exec/parallel_for.hh"
-#include "exec/pool.hh"
+#include "harness/sweep.hh"
 #include "load/driver.hh"
 #include "metrics/request_synth.hh"
 #include "metrics/summary.hh"
 #include "report/codec.hh"
 #include "support/rng.hh"
-#include "trace/hot_metrics.hh"
+#include "support/strfmt.hh"
 #include "workloads/registry.hh"
 
 namespace capo::harness {
@@ -38,19 +37,19 @@ encodeCell(const OpenLoopCell &cell)
 bool
 decodeCell(const std::vector<std::string> &fields, OpenLoopCell &cell)
 {
-    if (fields.size() != 11)
-        return false;
-    cell.ok = fields[0] == "1";
-    return report::decodeDouble(fields[1], cell.arrival_p50_ns) &&
-           report::decodeDouble(fields[2], cell.arrival_p99_ns) &&
-           report::decodeDouble(fields[3], cell.arrival_p999_ns) &&
-           report::decodeDouble(fields[4], cell.service_p50_ns) &&
-           report::decodeDouble(fields[5], cell.service_p99_ns) &&
-           report::decodeDouble(fields[6], cell.service_p999_ns) &&
-           report::decodeDouble(fields[7], cell.goodput_rps) &&
-           report::decodeDouble(fields[8], cell.utility) &&
-           report::decodeDouble(fields[9], cell.shed) &&
-           report::decodeDouble(fields[10], cell.mean_pace);
+    cell.restored =
+        fields.size() == 11 && report::decodeBool(fields[0], cell.ok) &&
+        report::decodeDouble(fields[1], cell.arrival_p50_ns) &&
+        report::decodeDouble(fields[2], cell.arrival_p99_ns) &&
+        report::decodeDouble(fields[3], cell.arrival_p999_ns) &&
+        report::decodeDouble(fields[4], cell.service_p50_ns) &&
+        report::decodeDouble(fields[5], cell.service_p99_ns) &&
+        report::decodeDouble(fields[6], cell.service_p999_ns) &&
+        report::decodeDouble(fields[7], cell.goodput_rps) &&
+        report::decodeDouble(fields[8], cell.utility) &&
+        report::decodeDouble(fields[9], cell.shed) &&
+        report::decodeDouble(fields[10], cell.mean_pace);
+    return cell.restored;
 }
 
 /** Fill a cell's quantile block from the two latency views. */
@@ -89,20 +88,20 @@ cellRatePerSec(const OpenLoopSweepOptions &options, double factor)
     return factor * options.lanes * 1e9 / options.service_mean_ns;
 }
 
-void
+/** @{ Run one cell under @p cell_options; return its dispatches. */
+std::uint64_t
 runClosedCell(const workloads::Descriptor &workload,
               gc::Algorithm algorithm, double heap_mb,
-              const OpenLoopSweepOptions &options, OpenLoopCell &cell,
-              std::uint64_t *dispatches)
+              const OpenLoopSweepOptions &options,
+              const ExperimentOptions &cell_options, OpenLoopCell &cell)
 {
-    ExperimentOptions run_options = options.base;
+    ExperimentOptions run_options = cell_options;
     run_options.invocations = 1;
     run_options.trace_rate = true;
     Runner runner(run_options);
     const auto run = runner.runOnce(workload, algorithm, heap_mb, 0);
-    *dispatches += run.dispatches;
     if (!run.usable())
-        return;
+        return run.dispatches;
     const auto &timed = run.iterations.back();
 
     // Post-hoc open-loop replay over the measured rate timeline: the
@@ -115,9 +114,9 @@ runClosedCell(const workloads::Descriptor &workload,
         timed.wall_begin, timed.wall_end,
         cellRatePerSec(options, cell.load_factor),
         options.service_mean_ns,
-        support::Rng(options.base.base_seed));
+        support::Rng(cell_options.base_seed));
     if (recorder.empty())
-        return;
+        return run.dispatches;
     cell.ok = true;
     fillQuantiles(recorder, cell);
     double latency_sum = 0.0;
@@ -125,13 +124,14 @@ runClosedCell(const workloads::Descriptor &workload,
         latency_sum += l;
     scoreCell(static_cast<double>(recorder.size()), latency_sum,
               timed.wall_end - timed.wall_begin, options.pacer, cell);
+    return run.dispatches;
 }
 
-void
+std::uint64_t
 runLiveCell(const workloads::Descriptor &workload,
             gc::Algorithm algorithm, double heap_mb, bool adaptive,
-            const OpenLoopSweepOptions &options, OpenLoopCell &cell,
-            std::uint64_t *dispatches)
+            const OpenLoopSweepOptions &options,
+            const ExperimentOptions &cell_options, OpenLoopCell &cell)
 {
     load::OpenLoopConfig config;
     config.arrival = options.arrival;
@@ -147,14 +147,13 @@ runLiveCell(const workloads::Descriptor &workload,
     config.pacer = options.pacer;
     load::OpenLoopDriver driver(config);
 
-    ExperimentOptions run_options = options.base;
+    ExperimentOptions run_options = cell_options;
     run_options.invocations = 1;
     Runner runner(run_options);
     const auto run =
         runner.runOnce(workload, algorithm, heap_mb, 0, &driver);
-    *dispatches += run.dispatches;
     if (!run.usable() || driver.completed() == 0)
-        return;
+        return run.dispatches;
     cell.ok = true;
     fillQuantiles(driver.requests(), cell);
     double latency_sum = 0.0;
@@ -168,7 +167,9 @@ runLiveCell(const workloads::Descriptor &workload,
         cell.pacer_digest =
             load::encodePacerDecisions(driver.pacer()->decisions());
     }
+    return run.dispatches;
 }
+/** @} */
 
 } // namespace
 
@@ -186,11 +187,6 @@ runOpenLoopSweep(const std::vector<std::string> &workload_names,
                  const OpenLoopSweepOptions &options)
 {
     OpenLoopSweep sweep;
-    CheckpointJournal *journal = options.journal;
-
-    // Grid in print order; each cell is independent, so the sweep
-    // fans out like the LBO grid (per-cell Runner and driver, cell
-    // seeds a pure function of coordinates).
     for (const auto &name : workload_names) {
         for (auto algorithm : options.collectors) {
             for (const auto &mode : options.modes) {
@@ -206,60 +202,37 @@ runOpenLoopSweep(const std::vector<std::string> &workload_names,
         }
     }
 
-    if (journal != nullptr) {
-        for (auto &cell : sweep.cells) {
-            std::vector<std::string> fields;
-            if (journal->lookup(openLoopCellKey(cell.workload,
-                                                cell.collector,
-                                                cell.mode,
-                                                cell.load_factor),
-                                fields) &&
-                decodeCell(fields, cell)) {
-                cell.restored = true;
-                ++sweep.restored_cells;
-            }
-        }
-    }
-
-    std::vector<std::uint64_t> dispatches(sweep.cells.size(), 0);
-    const std::size_t jobs = exec::resolveJobs(options.base.jobs);
-    exec::parallel_for(
-        exec::Pool::shared(), sweep.cells.size(),
-        [&](std::size_t i) {
-            auto &cell = sweep.cells[i];
-            if (cell.restored)
-                return;
-            const auto &workload = workloads::byName(cell.workload);
-            const auto algorithm = [&] {
-                gc::Algorithm a = gc::Algorithm::Serial;
-                gc::tryAlgorithmFromName(cell.collector, a);
-                return a;
-            }();
-            const double heap_mb =
-                options.heap_factor *
-                workloads::sizeMinHeapMb(workload, options.base.size);
-            if (cell.mode == "closed") {
-                runClosedCell(workload, algorithm, heap_mb, options,
-                              cell, &dispatches[i]);
-            } else {
-                runLiveCell(workload, algorithm, heap_mb,
-                            cell.mode == "adaptive", options, cell,
-                            &dispatches[i]);
-            }
-            trace::hot::count(trace::hot::SweepCellsCompleted);
-        },
-        jobs);
-
-    for (std::size_t i = 0; i < sweep.cells.size(); ++i) {
-        auto &cell = sweep.cells[i];
-        sweep.dispatches += dispatches[i];
-        if (!cell.restored && journal != nullptr) {
-            journal->append(openLoopCellKey(cell.workload,
-                                            cell.collector, cell.mode,
-                                            cell.load_factor),
-                            encodeCell(cell));
-        }
-    }
+    // Each cell owns its Runner and driver; dispatch totals are
+    // order-independent sums, so the fan-out stays unobservable.
+    std::atomic<std::uint64_t> dispatches{0};
+    Sweep<OpenLoopCell> kernel;
+    kernel.key = [](const OpenLoopCell &c) {
+        return openLoopCellKey(c.workload, c.collector, c.mode,
+                               c.load_factor);
+    };
+    kernel.encode = encodeCell;
+    kernel.decode = decodeCell;
+    kernel.label = [](const OpenLoopCell &c) {
+        return "openloop " + c.workload + "/" + c.collector + " " +
+               c.mode + " @ " + support::concat(c.load_factor);
+    };
+    kernel.body = [&](OpenLoopCell &c, const ExperimentOptions &o) {
+        const auto &workload = workloads::byName(c.workload);
+        gc::Algorithm algorithm = gc::Algorithm::Serial;
+        gc::tryAlgorithmFromName(c.collector, algorithm);
+        const double heap_mb =
+            options.heap_factor *
+            workloads::sizeMinHeapMb(workload, o.size);
+        dispatches +=
+            c.mode == "closed"
+                ? runClosedCell(workload, algorithm, heap_mb, options,
+                                o, c)
+                : runLiveCell(workload, algorithm, heap_mb,
+                              c.mode == "adaptive", options, o, c);
+    };
+    sweep.restored_cells =
+        kernel.run(sweep.cells, options.base, options.journal);
+    sweep.dispatches = dispatches;
     return sweep;
 }
 

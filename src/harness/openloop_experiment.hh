@@ -19,8 +19,9 @@
  * goodput and the shared PCC-style utility, so the
  * coordinated-omission gap (arrival p99 vs service p99) and the
  * pacing-policy gap (utility static vs adaptive) are directly
- * comparable. Cells journal through the checkpoint layer under
- * openloop/<workload>/<collector>/<mode>/<factor-bits> keys.
+ * comparable. Cells run on the sweep kernel (harness/sweep.hh) and
+ * journal under openloop/<workload>/<collector>/<mode>/<factor-bits>
+ * keys.
  */
 
 #ifndef CAPO_HARNESS_OPENLOOP_EXPERIMENT_HH

@@ -1,5 +1,6 @@
 #include "report/codec.hh"
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 
@@ -38,6 +39,40 @@ decodeDouble(const std::string &text, double &value)
         bits = (bits << 4) | digit;
     }
     std::memcpy(&value, &bits, sizeof value);
+    return true;
+}
+
+namespace {
+
+template <typename T>
+bool
+decodeWhole(const std::string &text, T &value)
+{
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    return ec == std::errc{} && ptr == end;
+}
+
+} // namespace
+
+bool
+decodeUint(const std::string &text, std::uint64_t &value)
+{
+    return decodeWhole(text, value);
+}
+
+bool
+decodeInt(const std::string &text, int &value)
+{
+    return decodeWhole(text, value);
+}
+
+bool
+decodeBool(const std::string &text, bool &value)
+{
+    if (text != "0" && text != "1")
+        return false;
+    value = text == "1";
     return true;
 }
 

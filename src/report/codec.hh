@@ -36,6 +36,15 @@ std::string encodeDouble(double value);
 bool decodeDouble(const std::string &text, double &value);
 /** @} */
 
+/** @{ Strict integer and flag decoding: the whole field must be a
+ *  decimal number in range (no whitespace, no trailing text; a sign
+ *  only for signed values), a flag exactly "0" or "1". Anything else
+ *  fails, so a mutated record misses instead of decoding wrong. */
+bool decodeUint(const std::string &text, std::uint64_t &value);
+bool decodeInt(const std::string &text, int &value);
+bool decodeBool(const std::string &text, bool &value);
+/** @} */
+
 /** Is @p field legal in a record (no tab, no newline)? */
 bool fieldIsClean(const std::string &field);
 

@@ -22,6 +22,7 @@
 #include "harness/lbo_experiment.hh"
 #include "harness/minheap.hh"
 #include "metrics/export.hh"
+#include "report/codec.hh"
 #include "workloads/registry.hh"
 
 namespace capo::harness {
@@ -61,15 +62,13 @@ TEST(CheckpointJournalTest, DoublesRoundTripExactly)
     for (double v : {0.0, -0.0, 1.0, -1.5, 3.141592653589793,
                      1.23456789e300, 4.9e-324, 1e9 + 1.0 / 3.0}) {
         double back = 0.0;
-        ASSERT_TRUE(CheckpointJournal::decodeDouble(
-            CheckpointJournal::encodeDouble(v), back));
+        ASSERT_TRUE(report::decodeDouble(report::encodeDouble(v), back));
         EXPECT_EQ(std::memcmp(&v, &back, sizeof v), 0);
     }
     double out;
-    EXPECT_FALSE(CheckpointJournal::decodeDouble("", out));
-    EXPECT_FALSE(CheckpointJournal::decodeDouble("123", out));
-    EXPECT_FALSE(
-        CheckpointJournal::decodeDouble("zz00000000000000", out));
+    EXPECT_FALSE(report::decodeDouble("", out));
+    EXPECT_FALSE(report::decodeDouble("123", out));
+    EXPECT_FALSE(report::decodeDouble("zz00000000000000", out));
 }
 
 TEST(CheckpointJournalTest, AppendLookupPersistResume)
@@ -411,6 +410,147 @@ TEST(ResumeSweepTest, MinHeapGridResumes)
                   full.cells[i].result.converged);
     }
     EXPECT_EQ(journal->entryCount(), 2u);
+    std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Strict decoding: a journal field that does not decode is a miss, so
+// the cell re-runs instead of restoring a silently wrong value.
+
+/** Rewrite the journal at @p path with field @p field (0 = first after
+ *  the key) of record @p record (1 = first after the header) replaced
+ *  by @p value. */
+void
+corruptField(const std::string &path, const std::vector<std::string> &lines,
+             std::size_t record, std::size_t field,
+             const std::string &value)
+{
+    std::string contents;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        if (i != record) {
+            contents += lines[i] + "\n";
+            continue;
+        }
+        auto fields = report::decodeRecord(lines[i]);
+        fields.at(field + 1) = value;
+        contents += report::encodeRecord(fields);
+    }
+    writeFile(path, contents);
+}
+
+std::string
+gridText(const MinHeapGrid &grid)
+{
+    std::string text;
+    for (const auto &cell : grid.cells) {
+        text += cell.workload + "/" + gc::algorithmName(cell.algorithm) +
+                " " + report::encodeDouble(cell.result.min_heap_mb) +
+                " " + std::to_string(cell.result.probes) + " " +
+                (cell.result.converged ? "1" : "0") + "\n";
+    }
+    return text;
+}
+
+TEST(ResumeSweepTest, MalformedMinHeapFieldRerunsThatCell)
+{
+    const std::vector<std::string> names = {"fop"};
+    const std::vector<gc::Algorithm> collectors = {
+        gc::Algorithm::Serial, gc::Algorithm::G1};
+    ExperimentOptions options;
+    options.iterations = 2;
+    options.invocations = 1;
+    options.time_limit_sec = 300;
+
+    const auto path = tempPath("minheap_strict");
+    std::string error;
+    std::string full_text;
+    {
+        auto journal =
+            CheckpointJournal::open(path, kHash, false, error);
+        ASSERT_NE(journal, nullptr) << error;
+        full_text = gridText(findMinHeapGrid(names, collectors, options,
+                                             0.05, journal.get()));
+    }
+    const auto lines = readLines(path);
+    ASSERT_EQ(lines.size(), 3u);  // header + 2 cells
+    // A lenient parse would read "12x" as 12 probes and "yes" as not
+    // converged; both must differ from the truth to be caught.
+    const auto record = report::decodeRecord(lines[1]);
+    ASSERT_EQ(record.size(), 4u);
+    ASSERT_NE(record[2], "12");
+    ASSERT_EQ(record[3], "1");
+
+    const std::pair<std::size_t, const char *> cases[] = {{1, "12x"},
+                                                          {2, "yes"}};
+    for (const auto &[field, value] : cases) {
+        corruptField(path, lines, 1, field, value);
+        auto journal = CheckpointJournal::open(path, kHash, true, error);
+        ASSERT_NE(journal, nullptr) << error;
+        const auto resumed = findMinHeapGrid(names, collectors, options,
+                                             0.05, journal.get());
+        EXPECT_EQ(gridText(resumed), full_text) << value;
+        // The corrupted cell re-ran and journaled again.
+        EXPECT_EQ(readLines(path).size(), 4u) << value;
+    }
+    std::remove(path.c_str());
+}
+
+std::string
+lboText(const WorkloadLbo &result)
+{
+    std::string text = sweepCsv(result);
+    for (const auto &e : result.errors) {
+        text += e.workload + "," + e.collector + "," +
+                report::encodeDouble(e.heap_factor) + "," +
+                std::to_string(e.invocation) + "," +
+                std::to_string(e.attempts) + "," + e.kind + "\n";
+    }
+    return text;
+}
+
+TEST(ResumeSweepTest, MalformedLboErrorFieldRerunsThatCell)
+{
+    // Injected OOMs quarantine invocations, so the cell's journal
+    // record carries "e:<invocation>:<attempts>:<kind>" fields.
+    const auto &fop = workloads::byName("fop");
+    auto sweep = sweepOptions(1);
+    sweep.factors = {2.0};
+    sweep.collectors = {gc::Algorithm::G1};
+    sweep.base.invocations = 3;
+    sweep.base.faults.setRate(fault::Site::AllocOom, 0.05);
+    sweep.base.faults.seed = 11;
+
+    const auto path = tempPath("lbo_strict");
+    std::string error;
+    std::string full_text;
+    {
+        auto journal =
+            CheckpointJournal::open(path, kHash, false, error);
+        ASSERT_NE(journal, nullptr) << error;
+        sweep.journal = journal.get();
+        full_text = lboText(runLboSweep(fop, sweep));
+    }
+    const auto lines = readLines(path);
+    ASSERT_EQ(lines.size(), 2u);  // header + 1 cell
+    // Corrupt the invocation of an error that is not invocation 0
+    // (a lenient parse reads "abc" as 0).
+    const auto record = report::decodeRecord(lines[1]);
+    std::size_t field = 0;
+    for (std::size_t i = 7; i < record.size() && field == 0; ++i) {
+        if (record[i].rfind("e:0:", 0) != 0)
+            field = i - 1;
+    }
+    ASSERT_NE(field, 0u) << "no error past invocation 0: " << lines[1];
+    const std::string mutated =
+        "e:abc" + record[field + 1].substr(record[field + 1].find(':', 2));
+    corruptField(path, lines, 1, field, mutated);
+
+    auto journal = CheckpointJournal::open(path, kHash, true, error);
+    ASSERT_NE(journal, nullptr) << error;
+    sweep.journal = journal.get();
+    const auto resumed = runLboSweep(fop, sweep);
+    EXPECT_EQ(resumed.restored_cells, 0u);
+    EXPECT_EQ(lboText(resumed), full_text);
     std::remove(path.c_str());
 }
 

@@ -12,16 +12,20 @@
 
 #include <gtest/gtest.h>
 
+#include "harness/latency_experiment.hh"
 #include "harness/lbo_experiment.hh"
 #include "harness/minheap.hh"
 #include "harness/runner.hh"
 #include "metrics/export.hh"
+#include "testutil/sinks.hh"
 #include "trace/chrome_export.hh"
 #include "trace/sink.hh"
 #include "workloads/registry.hh"
 
 namespace capo::harness {
 namespace {
+
+using testutil::expectSinksIdentical;
 
 ExperimentOptions
 baseOptions(int jobs)
@@ -129,25 +133,6 @@ TEST(DeterminismTest, MinHeapGridIdenticalAcrossJobs)
                   parallel.cells[i].result.probes);
         EXPECT_EQ(serial.cells[i].result.converged,
                   parallel.cells[i].result.converged);
-    }
-}
-
-void
-expectSinksIdentical(const trace::TraceSink &a, const trace::TraceSink &b)
-{
-    ASSERT_EQ(a.trackCount(), b.trackCount());
-    for (trace::TrackId t = 0; t < a.trackCount(); ++t) {
-        EXPECT_EQ(a.trackName(t), b.trackName(t));
-        const auto ea = a.events(t);
-        const auto eb = b.events(t);
-        ASSERT_EQ(ea.size(), eb.size()) << "track " << a.trackName(t);
-        for (std::size_t i = 0; i < ea.size(); ++i) {
-            EXPECT_STREQ(ea[i].name, eb[i].name);
-            EXPECT_EQ(ea[i].ts, eb[i].ts);
-            EXPECT_EQ(ea[i].value, eb[i].value);
-            EXPECT_EQ(ea[i].cat, eb[i].cat);
-            EXPECT_EQ(ea[i].kind, eb[i].kind);
-        }
     }
 }
 
@@ -275,6 +260,72 @@ TEST(DeterminismTest, ParallelTraceExportIsNestedAndMonotonic)
     // timeline.
     std::stringstream out;
     EXPECT_GT(trace::writeChromeTrace(sink, out), 0u);
+}
+
+void
+expectLatencyCellsIdentical(const LatencySweep &a, const LatencySweep &b)
+{
+    ASSERT_EQ(a.cells.size(), b.cells.size());
+    for (std::size_t i = 0; i < a.cells.size(); ++i) {
+        const auto &x = a.cells[i];
+        const auto &y = b.cells[i];
+        EXPECT_EQ(x.workload, y.workload);
+        EXPECT_EQ(x.collector, y.collector);
+        EXPECT_EQ(x.factor, y.factor);
+        EXPECT_EQ(x.ok, y.ok);
+        EXPECT_EQ(x.have_raw, y.have_raw);
+        // All bitwise, not approximate.
+        EXPECT_EQ(x.p50_ns, y.p50_ns);
+        EXPECT_EQ(x.p99_ns, y.p99_ns);
+        EXPECT_EQ(x.p999_ns, y.p999_ns);
+        EXPECT_EQ(x.intended_p99_ns, y.intended_p99_ns);
+        EXPECT_EQ(x.metered_p50_ns, y.metered_p50_ns);
+        EXPECT_EQ(x.metered_p999_ns, y.metered_p999_ns);
+        EXPECT_EQ(x.requests.simpleLatencies(),
+                  y.requests.simpleLatencies());
+        EXPECT_EQ(x.requests.intendedLatencies(),
+                  y.requests.intendedLatencies());
+    }
+}
+
+TEST(DeterminismTest, LatencySweepIdenticalAcrossJobs)
+{
+    const std::vector<std::string> names = {"lusearch"};
+    LatencySweepOptions sweep;
+    sweep.factors = {2.0, 6.0};
+    sweep.collectors = {gc::Algorithm::G1, gc::Algorithm::Shenandoah};
+    sweep.base = baseOptions(1);
+
+    const auto serial = runLatencySweep(names, sweep);
+    ASSERT_EQ(serial.cells.size(), 4u);
+    for (const auto &cell : serial.cells)
+        EXPECT_TRUE(cell.ok) << cell.collector << " @ " << cell.factor;
+    sweep.base.jobs = 8;
+    expectLatencyCellsIdentical(serial, runLatencySweep(names, sweep));
+
+    // Traced: every cell traces into its own shard, merged in grid
+    // order under one harness span per cell.
+    trace::TraceSink serial_sink, parallel_sink;
+    sweep.base.jobs = 1;
+    sweep.base.trace = &serial_sink;
+    expectLatencyCellsIdentical(serial, runLatencySweep(names, sweep));
+    sweep.base.jobs = 8;
+    sweep.base.trace = &parallel_sink;
+    expectLatencyCellsIdentical(serial, runLatencySweep(names, sweep));
+    expectSinksIdentical(serial_sink, parallel_sink);
+
+    std::size_t cell_spans = 0;
+    for (trace::TrackId t = 0; t < serial_sink.trackCount(); ++t) {
+        if (serial_sink.trackName(t) != "harness")
+            continue;
+        for (const auto &e : serial_sink.events(t)) {
+            if (e.kind == trace::EventKind::SpanBegin &&
+                std::strncmp(e.name, "latency ", 8) == 0) {
+                ++cell_spans;
+            }
+        }
+    }
+    EXPECT_EQ(cell_spans, serial.cells.size());
 }
 
 } // namespace

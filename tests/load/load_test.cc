@@ -18,6 +18,8 @@
 #include "load/arrival.hh"
 #include "load/pacer.hh"
 #include "support/rng.hh"
+#include "testutil/sinks.hh"
+#include "trace/sink.hh"
 #include "workloads/registry.hh"
 
 namespace capo {
@@ -276,6 +278,31 @@ TEST(OpenLoopSweepTest, BitIdenticalAcrossJobsAndAcceptanceGaps)
     EXPECT_TRUE(adaptive_wins_somewhere)
         << "static=" << static_util_sat
         << " adaptive=" << adaptive_util_sat;
+}
+
+TEST(OpenLoopSweepTest, TracedSweepIdenticalAcrossJobs)
+{
+    // Every cell traces into its own shard, so a traced sweep fans
+    // out safely and merges to the serial run's sink event for event.
+    trace::TraceSink serial_sink, parallel_sink;
+    auto serial_options = sweepOptions(1);
+    serial_options.modes = {"closed", "static", "adaptive"};
+    serial_options.base.trace = &serial_sink;
+    auto parallel_options = serial_options;
+    parallel_options.base.jobs = 8;
+    parallel_options.base.trace = &parallel_sink;
+
+    const auto serial =
+        harness::runOpenLoopSweep({"lusearch"}, serial_options);
+    const auto parallel =
+        harness::runOpenLoopSweep({"lusearch"}, parallel_options);
+    ASSERT_EQ(serial.cells.size(), 6u);
+    ASSERT_EQ(parallel.cells.size(), serial.cells.size());
+    EXPECT_EQ(serial.dispatches, parallel.dispatches);
+    for (std::size_t i = 0; i < serial.cells.size(); ++i)
+        expectCellsIdentical(serial.cells[i], parallel.cells[i]);
+    EXPECT_GT(serial_sink.eventCount(), 0u);
+    testutil::expectSinksIdentical(serial_sink, parallel_sink);
 }
 
 } // namespace
