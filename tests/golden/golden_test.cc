@@ -2,7 +2,9 @@
  * @file
  * Golden-snapshot tests: small reference outputs for the paper's key
  * artifacts — the fig01 suite LBO geomean curve, the tab03 nominal
- * statistics table, and the figA heap timeline — checked in under
+ * statistics table, the figA heap timeline, and the registry tables
+ * of fig02 (MMU), fig06 (latency percentiles) and the open-loop
+ * comparison — checked in under
  * tests/golden/data/ and diffed against current output at a fixed
  * seed.
  *
@@ -313,6 +315,16 @@ TEST(GoldenTest, ExtOpenLoopTableFromRegistry)
     expectMatchesGolden(
         "ext_openloop.csv",
         registryTableCsv("ext_openloop_pacing", "openloop", {}));
+}
+
+TEST(GoldenTest, Fig06LatencyPercentilesFromRegistry)
+{
+    // Simple and metered (100 ms and full smoothing) percentile curves
+    // for h2 under every production collector: the only golden that
+    // pins the metered-latency kernel and the percentile selection.
+    expectMatchesGolden(
+        "fig06_latency_h2.csv",
+        registryTableCsv("fig06_latency_h2", "latency_percentiles", {}));
 }
 
 TEST(GoldenTest, EveryBenchAliasIsRegistered)
