@@ -26,11 +26,12 @@ mmuRow(bench::AsciiTable &table, report::ResultTable &rows,
     std::vector<std::string> row = {
         label, support::fixed(mmu.maxPause() / 1e6, 1)};
     for (double w : windows_ms) {
-        row.push_back(support::fixed(mmu.at(w * 1e6), 3));
+        const double utilization = mmu.at(w * 1e6);
+        row.push_back(support::fixed(utilization, 3));
         rows.addRow({report::Value::str(label),
                      report::Value::dbl(mmu.maxPause() / 1e6),
                      report::Value::dbl(w),
-                     report::Value::dbl(mmu.at(w * 1e6))});
+                     report::Value::dbl(utilization)});
     }
     table.row(row);
 }

@@ -108,10 +108,9 @@ latencyPanel(const std::string &title,
             table.row(row);
             continue;
         }
-        const auto latencies = window_ns < 0.0
-            ? run.requests.simpleLatencies()
-            : run.requests.meteredLatencies(window_ns);
-        const auto curve = metrics::percentileCurve(latencies);
+        const auto curve = metrics::percentileCurve(
+            window_ns < 0.0 ? run.requests.simpleLatencies()
+                            : run.requests.meteredLatencies(window_ns));
         std::vector<std::pair<double, double>> pts;
         for (std::size_t i = 0; i < curve.size(); ++i) {
             row.push_back(latencyMs(curve[i].second));

@@ -61,18 +61,20 @@ runCell(const LatencySweepOptions &options,
         run.rate_timeline, run.baseline_rate, workload.requests,
         timed.wall_begin, timed.wall_end,
         support::Rng(run_options.base_seed));
-    const auto simple = cell.requests.simpleLatencies();
-    const auto metered =
-        cell.requests.meteredLatencies(options.metered_window_ns);
+    const auto simple = metrics::quantiles(
+        cell.requests.simpleLatencies(), {0.5, 0.99, 0.999});
+    const auto metered = metrics::quantiles(
+        cell.requests.meteredLatencies(options.metered_window_ns),
+        {0.5, 0.999});
     cell.ok = true;
     cell.have_raw = true;
-    cell.p50_ns = metrics::quantile(simple, 0.5);
-    cell.p99_ns = metrics::quantile(simple, 0.99);
-    cell.p999_ns = metrics::quantile(simple, 0.999);
+    cell.p50_ns = simple[0];
+    cell.p99_ns = simple[1];
+    cell.p999_ns = simple[2];
     cell.intended_p99_ns =
         metrics::quantile(cell.requests.intendedLatencies(), 0.99);
-    cell.metered_p50_ns = metrics::quantile(metered, 0.5);
-    cell.metered_p999_ns = metrics::quantile(metered, 0.999);
+    cell.metered_p50_ns = metered[0];
+    cell.metered_p999_ns = metered[1];
 }
 
 } // namespace

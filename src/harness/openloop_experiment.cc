@@ -57,14 +57,17 @@ void
 fillQuantiles(const metrics::LatencyRecorder &recorder,
               OpenLoopCell &cell)
 {
-    const auto arrival = recorder.intendedLatencies();
-    const auto service = recorder.simpleLatencies();
-    cell.arrival_p50_ns = metrics::quantile(arrival, 0.5);
-    cell.arrival_p99_ns = metrics::quantile(arrival, 0.99);
-    cell.arrival_p999_ns = metrics::quantile(arrival, 0.999);
-    cell.service_p50_ns = metrics::quantile(service, 0.5);
-    cell.service_p99_ns = metrics::quantile(service, 0.99);
-    cell.service_p999_ns = metrics::quantile(service, 0.999);
+    const std::vector<double> points = {0.5, 0.99, 0.999};
+    const auto arrival =
+        metrics::quantiles(recorder.intendedLatencies(), points);
+    const auto service =
+        metrics::quantiles(recorder.simpleLatencies(), points);
+    cell.arrival_p50_ns = arrival[0];
+    cell.arrival_p99_ns = arrival[1];
+    cell.arrival_p999_ns = arrival[2];
+    cell.service_p50_ns = service[0];
+    cell.service_p99_ns = service[1];
+    cell.service_p999_ns = service[2];
 }
 
 /** Score a finished cell with the shared utility yardstick. */

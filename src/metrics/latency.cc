@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numeric>
 
 #include "metrics/summary.hh"
 #include "support/logging.hh"
@@ -77,15 +80,185 @@ LatencyRecorder::spanEnd() const
     return t;
 }
 
-std::vector<double>
-LatencyRecorder::syntheticStarts(double window_ns) const
+namespace {
+
+/**
+ * Merge two start-ordered runs of event indices into @p out, the left
+ * run first on equal starts (stable). The selection is branch-free:
+ * closed-loop lanes interleave finely, so a compare-and-branch would
+ * mispredict on about every other event.
+ */
+void
+mergeByStart(const LatencyEvent *events, const std::uint32_t *l,
+             const std::uint32_t *l_end, const std::uint32_t *r,
+             const std::uint32_t *r_end, std::uint32_t *out)
 {
-    const std::size_t n = events_.size();
-    std::vector<double> starts;
-    starts.reserve(n);
-    for (const auto &e : events_)
-        starts.push_back(e.start);
-    std::sort(starts.begin(), starts.end());
+    while (l != l_end && r != r_end) {
+        const bool right = events[*r].start < events[*l].start;
+        *out++ = right ? *r : *l;
+        r += right;
+        l += !right;
+    }
+    out = std::copy(l, l_end, out);
+    std::copy(r, r_end, out);
+}
+
+/**
+ * Indices of @p events in start order, ties in record order: a
+ * bottom-up merge of the maximal start-ordered runs, adjacent runs
+ * pairwise per pass. A closed-loop recorder is one run per lane, so
+ * this takes log2(lanes) linear passes. Indices rather than events keep
+ * the passes' memory at a sixth.
+ */
+std::vector<std::uint32_t>
+startOrder(const std::vector<LatencyEvent> &events)
+{
+    const std::size_t n = events.size();
+    CAPO_ASSERT(n <= std::numeric_limits<std::uint32_t>::max(),
+                "too many events to order");
+    std::vector<std::size_t> runs = {0};
+    for (std::size_t i = 1; i < n; ++i) {
+        if (events[i].start < events[i - 1].start)
+            runs.push_back(i);
+    }
+    runs.push_back(n);
+
+    std::vector<std::uint32_t> order(n);
+    std::iota(order.begin(), order.end(), std::uint32_t{0});
+    std::vector<std::uint32_t> scratch(runs.size() > 2 ? n : 0);
+    while (runs.size() > 2) {
+        std::vector<std::size_t> next = {0};
+        for (std::size_t r = 0; r + 1 < runs.size(); r += 2) {
+            const std::size_t mid = runs[r + 1];
+            const std::size_t hi = r + 2 < runs.size() ? runs[r + 2] : mid;
+            const std::uint32_t *in = order.data();
+            mergeByStart(events.data(), in + runs[r], in + mid, in + mid,
+                         in + hi, scratch.data() + runs[r]);
+            next.push_back(hi);
+        }
+        order.swap(scratch);
+        runs.swap(next);
+    }
+    return order;
+}
+
+/**
+ * Sweep the window-smoothed cumulative arrival function R(t) over the
+ * ascending @p starts, calling @p visit(t, R(t)) at each of its points
+ * in ascending t: (t0, 0), one per interval edge, then (t1, R(t1)).
+ *
+ * Each start s contributes density 1/W over [s - W/2, s + W/2]
+ * clipped to [t0, t1], with the overflow past either end reflected
+ * back inside (standard density boundary correction), so R(t1) = n
+ * exactly and edge events are not biased early or late; without it the
+ * last events of a run would inherit a spurious ~W/8 queueing delay.
+ * R is piecewise linear and its slope changes by +-1/W at every
+ * interval edge. Over ascending starts each of the six edge families
+ * (inner lo/hi, left-reflection lo/hi, right-reflection lo/hi) is
+ * monotone, so merging the six streams yields the edges in order
+ * without materializing them.
+ */
+template <class Visit>
+void
+sweepArrivals(const std::vector<double> &starts, double window,
+              Visit &&visit)
+{
+    // Rising families (interval starts, +1/W) first, then falling.
+    enum { kInnerLo, kLeftLo, kRightLo, kInnerHi, kLeftHi, kRightHi,
+           kFamilies };
+    constexpr double kNone = std::numeric_limits<double>::infinity();
+    const auto n = static_cast<std::ptrdiff_t>(starts.size());
+    const double *s = starts.data();
+    const double t0 = starts.front();
+    const double t1 = starts.back();
+    const double half = window / 2.0;
+    const double unit = 1.0 / window;
+
+    // The left reflection covers the starts whose window overflows t0
+    // (a prefix); the right one those overflowing t1 (a suffix). The
+    // reflected far edges descend as the starts ascend, so those two
+    // families walk the starts backwards.
+    std::ptrdiff_t left = 0;
+    while (left < n && s[left] - half < t0)
+        ++left;
+    std::ptrdiff_t right = n;
+    while (right > 0 && s[right - 1] + half > t1)
+        --right;
+    struct Family {
+        std::ptrdiff_t i, end, step;
+    };
+    Family family[kFamilies] = {
+        {0, n, 1},     {0, left, 1},       {n - 1, right - 1, -1},
+        {0, n, 1},     {left - 1, -1, -1}, {right, n, 1},
+    };
+    double head[kFamilies];
+
+    // Load family k's next edge, skipping empty intervals; an
+    // exhausted family reads kNone.
+    const auto settle = [&](int k) {
+        Family &f = family[k];
+        for (; f.i != f.end; f.i += f.step) {
+            const double a = s[f.i] - half;
+            const double b = s[f.i] + half;
+            double lo, hi;
+            if (k == kInnerLo || k == kInnerHi) {
+                lo = std::max(a, t0);
+                hi = std::min(b, t1);
+            } else if (k == kLeftLo || k == kLeftHi) {
+                lo = t0;
+                hi = t0 + (t0 - a);
+            } else {
+                lo = t1 - (b - t1);
+                hi = t1;
+            }
+            if (hi > lo) {
+                head[k] = k < kInnerHi ? lo : hi;
+                return;
+            }
+        }
+        head[k] = kNone;
+    };
+    for (int k = 0; k < kFamilies; ++k)
+        settle(k);
+    const auto lowest = [&](int a, int b, int c) {
+        int k = a;
+        if (head[b] < head[k])
+            k = b;
+        if (head[c] < head[k])
+            k = c;
+        return k;
+    };
+
+    double r = 0.0;
+    double slope = 0.0;
+    double prev = t0;
+    visit(t0, r);
+    for (;;) {
+        // The lowest edge next; on a tie the rising one. Ties within a
+        // direction need no rule: each adds the same +-1/W to the slope.
+        const int up = lowest(kInnerLo, kLeftLo, kRightLo);
+        const int down = lowest(kInnerHi, kLeftHi, kRightHi);
+        const bool rising = head[up] <= head[down];
+        const int k = rising ? up : down;
+        const double edge = head[k];
+        if (edge == kNone)
+            break;
+        r += slope * (edge - prev);
+        slope += rising ? unit : -unit;
+        prev = edge;
+        visit(edge, r);
+        family[k].i += family[k].step;
+        settle(k);
+    }
+    r += slope * (t1 - prev);
+    visit(t1, r);
+}
+
+/** Synthetic starts over ascending @p starts; see syntheticStarts(). */
+std::vector<double>
+smoothedStarts(const std::vector<double> &starts, double window_ns)
+{
+    const std::size_t n = starts.size();
     if (n == 0)
         return {};
 
@@ -105,8 +278,8 @@ LatencyRecorder::syntheticStarts(double window_ns) const
     // Full smoothing: uniform arrivals over the span. The grid is
     // endpoint-inclusive so that already-uniform arrivals map onto
     // themselves (metered == simple for a perfectly steady run).
+    std::vector<double> synth(n);
     if (window_ns <= 0.0 || window_ns >= 2.0 * span) {
-        std::vector<double> synth(n);
         for (std::size_t i = 0; i < n; ++i) {
             synth[i] = t0 + (static_cast<double>(i) + 0.5) /
                                 static_cast<double>(n) * span;
@@ -114,109 +287,80 @@ LatencyRecorder::syntheticStarts(double window_ns) const
         return synth;
     }
 
-    // Build the window-smoothed cumulative arrival function R(t):
-    // piecewise linear, with slope changing by +-1/W at each event's
-    // window edges. Mass falling outside the observed span is
-    // reflected back inside (standard density boundary correction),
-    // so R(t1) = n exactly and edge events are not biased early or
-    // late — without this, the last events of a run would inherit a
-    // spurious ~W/8 queueing delay.
-    struct Breakpoint {
-        double t;
-        double slope_delta;
-    };
-    std::vector<Breakpoint> breaks;
-    breaks.reserve(4 * n);
-    const double half = window_ns / 2.0;
-    const double unit_slope = 1.0 / window_ns;
-    auto add_interval = [&](double lo, double hi) {
-        if (hi <= lo)
-            return;
-        breaks.push_back({lo, unit_slope});
-        breaks.push_back({hi, -unit_slope});
-    };
-    for (double s : starts) {
-        const double a = s - half;
-        const double b = s + half;
-        add_interval(std::max(a, t0), std::min(b, t1));
-        if (a < t0)
-            add_interval(t0, t0 + (t0 - a));  // reflect left overflow
-        if (b > t1)
-            add_interval(t1 - (b - t1), t1);  // reflect right overflow
-    }
-    std::sort(breaks.begin(), breaks.end(),
-              [](const Breakpoint &a, const Breakpoint &b) {
-                  return a.t < b.t;
-              });
-
-    // Sweep to tabulate R at each breakpoint.
-    std::vector<double> bp_t, bp_r;
-    bp_t.reserve(breaks.size() + 1);
-    bp_r.reserve(breaks.size() + 1);
-    double slope = 0.0;
-    double r = 0.0;
-    double prev_t = t0;
-    bp_t.push_back(t0);
-    bp_r.push_back(0.0);
-    for (const auto &b : breaks) {
-        r += slope * (b.t - prev_t);
-        slope += b.slope_delta;
-        prev_t = b.t;
-        bp_t.push_back(b.t);
-        bp_r.push_back(r);
-    }
-    r += slope * (t1 - prev_t);
-    bp_t.push_back(t1);
-    bp_r.push_back(r);
-    const double total = r;
+    // First sweep: the total smoothed mass R(t1).
+    double total = 0.0;
+    sweepArrivals(starts, window_ns, [&](double, double r) { total = r; });
     CAPO_ASSERT(total > 0.0, "smoothed arrival mass vanished");
 
-    // Invert R at the normalized ranks (two-pointer; ranks ascend).
-    std::vector<double> synth(n);
-    std::size_t seg = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        // Midpoint ranks: an event sits at the centre of its own
-        // smoothed arrival mass, so the identity (tiny-window) limit
-        // is exact and residual error is bounded by a quarter of the
-        // mean inter-arrival gap.
-        const double target = (static_cast<double>(i) + 0.5) /
-                              static_cast<double>(n) * total;
-        while (seg + 1 < bp_r.size() && bp_r[seg + 1] < target)
-            ++seg;
-        const double r_lo = bp_r[seg];
-        const double r_hi = seg + 1 < bp_r.size() ? bp_r[seg + 1] : total;
-        const double t_lo = bp_t[seg];
-        const double t_hi = seg + 1 < bp_t.size() ? bp_t[seg + 1] : t1;
-        if (r_hi > r_lo) {
-            synth[i] = t_lo + (target - r_lo) / (r_hi - r_lo) *
-                                  (t_hi - t_lo);
-        } else {
-            synth[i] = t_hi;
+    // Second sweep: invert R at the normalized ranks, which ascend.
+    // Midpoint ranks: an event sits at the centre of its own smoothed
+    // arrival mass, so the identity (tiny-window) limit is exact and
+    // residual error is bounded by a quarter of the mean inter-arrival
+    // gap. Each rank interpolates on the first segment of R whose upper
+    // end reaches it; ranks past R(t1) by rounding map to t1.
+    const auto rank = [&](std::size_t i) {
+        return (static_cast<double>(i) + 0.5) / static_cast<double>(n) *
+               total;
+    };
+    std::size_t i = 0;
+    double target = rank(0);
+    double t_lo = t0;
+    double r_lo = 0.0;
+    sweepArrivals(starts, window_ns, [&](double t_hi, double r_hi) {
+        while (i < n && r_hi >= target) {
+            synth[i] = r_hi > r_lo
+                ? t_lo + (target - r_lo) / (r_hi - r_lo) * (t_hi - t_lo)
+                : t_hi;
+            target = rank(++i);
         }
-    }
+        t_lo = t_hi;
+        r_lo = r_hi;
+    });
+    for (; i < n; ++i)
+        synth[i] = t1;
     return synth;
+}
+
+/** The starts of @p events at @p order. */
+std::vector<double>
+startsAt(const std::vector<LatencyEvent> &events,
+         const std::vector<std::uint32_t> &order)
+{
+    std::vector<double> starts;
+    starts.reserve(order.size());
+    for (std::uint32_t i : order)
+        starts.push_back(events[i].start);
+    return starts;
+}
+
+} // namespace
+
+std::vector<LatencyEvent>
+LatencyRecorder::byStart() const
+{
+    std::vector<LatencyEvent> out;
+    out.reserve(events_.size());
+    for (std::uint32_t i : startOrder(events_))
+        out.push_back(events_[i]);
+    return out;
+}
+
+std::vector<double>
+LatencyRecorder::syntheticStarts(double window_ns) const
+{
+    return smoothedStarts(startsAt(events_, startOrder(events_)),
+                          window_ns);
 }
 
 std::vector<double>
 LatencyRecorder::meteredLatencies(double window_ns) const
 {
-    // Pair the i-th start-sorted event with the i-th synthetic start.
-    std::vector<const LatencyEvent *> by_start;
-    by_start.reserve(events_.size());
-    for (const auto &e : events_)
-        by_start.push_back(&e);
-    std::sort(by_start.begin(), by_start.end(),
-              [](const LatencyEvent *a, const LatencyEvent *b) {
-                  return a->start < b->start;
-              });
-
-    const auto synth = syntheticStarts(window_ns);
-    std::vector<double> out;
-    out.reserve(events_.size());
-    for (std::size_t i = 0; i < by_start.size(); ++i) {
-        const double assumed = std::min(by_start[i]->start, synth[i]);
-        out.push_back(by_start[i]->end - assumed);
-    }
+    // Pair the i-th event in start order with the i-th synthetic start.
+    const auto order = startOrder(events_);
+    const auto starts = startsAt(events_, order);
+    auto out = smoothedStarts(starts, window_ns);
+    for (std::size_t i = 0; i < order.size(); ++i)
+        out[i] = events_[order[i]].end - std::min(starts[i], out[i]);
     return out;
 }
 
@@ -232,13 +376,13 @@ paperPercentiles()
 std::vector<std::pair<double, double>>
 percentileCurve(std::vector<double> latencies)
 {
-    std::sort(latencies.begin(), latencies.end());
     std::vector<std::pair<double, double>> curve;
-    for (double p : paperPercentiles()) {
-        if (latencies.empty())
-            break;
-        curve.emplace_back(p, quantileSorted(latencies, p));
-    }
+    if (latencies.empty())
+        return curve;
+    const auto &points = paperPercentiles();
+    const auto values = quantiles(std::move(latencies), points);
+    for (std::size_t i = 0; i < points.size(); ++i)
+        curve.emplace_back(points[i], values[i]);
     return curve;
 }
 

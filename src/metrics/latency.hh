@@ -14,11 +14,17 @@
  * ("full smoothing").
  *
  * Implementation: the synthetic arrival process is the inverse of the
- * window-smoothed empirical cumulative arrival function. Each actual
- * start contributes arrival density 1/W over [s - W/2, s + W/2],
- * clipped to the observed span; the resulting piecewise-linear
- * cumulative function is inverted at the normalized event ranks. This
- * is exact, monotone, and has the two limits above.
+ * window-smoothed empirical cumulative arrival function R. Each actual
+ * start contributes arrival density 1/W over [s - W/2, s + W/2], with
+ * the overflow past either end of the observed span reflected back
+ * inside; R is piecewise linear and is inverted at the normalized
+ * midpoint event ranks. This is exact, monotone, and has the two limits
+ * above. Events are taken in one start order, byStart(): a stable
+ * merge of the recorder's start-ordered runs, O(n log runs). Over that
+ * order every family of window edges is monotone, so six merged edge
+ * streams give R's breakpoints in ascending order with no sort; one
+ * sweep finds R's total mass and a second inverts R as it goes, in
+ * O(n) time and with no breakpoint table (DESIGN.md §17).
  */
 
 #ifndef CAPO_METRICS_LATENCY_HH
@@ -78,7 +84,8 @@ class LatencyRecorder
     std::vector<double> intendedLatencies() const;
 
     /**
-     * Metered latencies with the given smoothing window (ns).
+     * Metered latencies with the given smoothing window (ns), one per
+     * event in byStart() order.
      * @p window_ns <= 0 selects full smoothing (uniform synthetic
      * arrivals over the observed span).
      */
@@ -86,10 +93,15 @@ class LatencyRecorder
 
     /**
      * Synthetic start times for the given window, in ascending order
-     * (paired with events sorted by actual start). Exposed for tests
-     * and offline analysis.
+     * (paired with byStart()). Exposed for tests and offline analysis.
      */
     std::vector<double> syntheticStarts(double window_ns) const;
+
+    /**
+     * The events in start order, ties in record order. The one order
+     * meteredLatencies() and syntheticStarts() are paired with.
+     */
+    std::vector<LatencyEvent> byStart() const;
 
     /** Observed span: [first start, last end]. */
     double spanBegin() const;

@@ -40,28 +40,6 @@ Mmu::Mmu(std::vector<std::pair<double, double>> pauses, double run_begin,
 }
 
 double
-Mmu::pauseIn(double t, double w) const
-{
-    const double lo = t;
-    const double hi = t + w;
-    // O(log P) via the prefix sums, with edge pauses clipped.
-    auto first = std::lower_bound(
-        pauses_.begin(), pauses_.end(), lo,
-        [](const auto &p, double v) { return p.second <= v; });
-    auto last = std::lower_bound(
-        pauses_.begin(), pauses_.end(), hi,
-        [](const auto &p, double v) { return p.first < v; });
-    if (first >= last)
-        return 0.0;
-    const std::size_t i0 = first - pauses_.begin();
-    const std::size_t i1 = last - pauses_.begin();
-    double total = prefix_[i1] - prefix_[i0];
-    total -= std::max(0.0, lo - pauses_[i0].first);
-    total -= std::max(0.0, pauses_[i1 - 1].second - hi);
-    return std::max(0.0, total);
-}
-
-double
 Mmu::at(double window_ns) const
 {
     CAPO_ASSERT(window_ns > 0.0, "window must be positive");
@@ -71,15 +49,34 @@ Mmu::at(double window_ns) const
     const double w = std::min(window_ns, span);
 
     // The minimizing window starts at a pause begin or ends at a
-    // pause end; checking both families is sufficient.
+    // pause end; checking both families is sufficient. Within a family
+    // the window starts ascend with the pauses, so the first pause
+    // ending after the window start and the first pause beginning at
+    // or after its end only move forward: two indices sweep the
+    // pauses once per family.
+    const std::size_t count = pauses_.size();
     double worst_pause = 0.0;
-    for (const auto &p : pauses_) {
-        const double from_begin =
-            std::clamp(p.first, begin_, end_ - w);
-        worst_pause = std::max(worst_pause, pauseIn(from_begin, w));
-        const double from_end = std::clamp(p.second - w, begin_, end_ - w);
-        worst_pause = std::max(worst_pause, pauseIn(from_end, w));
-    }
+    auto sweep = [&](auto window_start) {
+        std::size_t first = 0;
+        std::size_t last = 0;
+        for (const auto &p : pauses_) {
+            const double lo = std::clamp(window_start(p), begin_, end_ - w);
+            const double hi = lo + w;
+            while (first < count && pauses_[first].second <= lo)
+                ++first;
+            while (last < count && pauses_[last].first < hi)
+                ++last;
+            if (first >= last)
+                continue;
+            // Whole pauses via the prefix sums, edge pauses clipped.
+            double total = prefix_[last] - prefix_[first];
+            total -= std::max(0.0, lo - pauses_[first].first);
+            total -= std::max(0.0, pauses_[last - 1].second - hi);
+            worst_pause = std::max(worst_pause, std::max(0.0, total));
+        }
+    };
+    sweep([](const auto &p) { return p.first; });
+    sweep([w](const auto &p) { return p.second - w; });
     return std::max(0.0, (w - worst_pause) / w);
 }
 

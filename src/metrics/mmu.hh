@@ -35,6 +35,7 @@ class Mmu
     /**
      * MMU for a window of @p window_ns: the minimum over all window
      * placements of (window - pause time in window) / window.
+     * O(P) over the P merged pauses.
      */
     double at(double window_ns) const;
 
@@ -45,9 +46,6 @@ class Mmu
     double maxPause() const { return max_pause_; }
 
   private:
-    /** Pause time overlapping [t, t + w]. */
-    double pauseIn(double t, double w) const;
-
     std::vector<std::pair<double, double>> pauses_;  ///< Merged, sorted.
     std::vector<double> prefix_;  ///< Pause time before pauses_[i].
     double begin_ = 0.0;

@@ -94,11 +94,43 @@ quantileSorted(const std::vector<double> &sorted, double q)
     return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
 }
 
+std::vector<double>
+quantiles(std::vector<double> values, const std::vector<double> &qs)
+{
+    CAPO_ASSERT(qs.empty() || !values.empty(), "quantile of empty sample");
+    CAPO_ASSERT(std::is_sorted(qs.begin(), qs.end()),
+                "quantiles must be requested in ascending order");
+    // quantileSorted reads order statistics lo and lo + 1 only, and lo
+    // ascends with q: select each pair on the suffix that the previous
+    // selection left unordered. Everything before position lo is no
+    // greater than what follows, so the suffix holds exactly the order
+    // statistics lo and up.
+    const std::size_t n = values.size();
+    auto from = values.begin();
+    std::vector<double> out;
+    out.reserve(qs.size());
+    for (double q : qs) {
+        CAPO_ASSERT(q >= 0.0 && q <= 1.0, "quantile must be in [0, 1]");
+        const double pos = q * static_cast<double>(n - 1);
+        const std::size_t lo = static_cast<std::size_t>(pos);
+        if (lo + 1 >= n) {
+            out.push_back(*std::max_element(from, values.end()));
+            continue;
+        }
+        const auto nth = values.begin() + static_cast<std::ptrdiff_t>(lo);
+        std::nth_element(from, nth, values.end());
+        from = nth;
+        const double next = *std::min_element(nth + 1, values.end());
+        const double frac = pos - static_cast<double>(lo);
+        out.push_back(*nth * (1.0 - frac) + next * frac);
+    }
+    return out;
+}
+
 double
 quantile(std::vector<double> values, double q)
 {
-    std::sort(values.begin(), values.end());
-    return quantileSorted(values, q);
+    return quantiles(std::move(values), {q}).front();
 }
 
 } // namespace capo::metrics

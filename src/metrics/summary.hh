@@ -39,9 +39,15 @@ struct Summary {
 Summary summarize(const std::vector<double> &values);
 
 /**
- * Quantile of a sample via linear interpolation (the values are
- * copied and sorted internally). @p q in [0, 1].
+ * Quantiles of a sample via linear interpolation, one per entry of
+ * @p qs (each in [0, 1], ascending). Selection, not sorting: expected
+ * O(n) per distinct quantile over a shrinking suffix, and the results
+ * equal quantileSorted() on the sorted sample bit for bit.
  */
+std::vector<double> quantiles(std::vector<double> values,
+                              const std::vector<double> &qs);
+
+/** One quantile of a sample; see quantiles(). @p q in [0, 1]. */
 double quantile(std::vector<double> values, double q);
 
 /** Quantile of an already ascending-sorted sample (no copy). */

@@ -98,13 +98,8 @@ TEST(LatencyTest, MeteredNeverBelowSimple)
         t += rng.exponential(50.0);
         rec.record(t, t + rng.exponential(20.0));
     }
-    auto simple = rec.simpleLatencies();
-    // Pair by start order.
-    std::vector<LatencyEvent> by_start = rec.events();
-    std::sort(by_start.begin(), by_start.end(),
-              [](const auto &a, const auto &b) {
-                  return a.start < b.start;
-              });
+    // Metered latencies pair with the recorder's start order.
+    const auto by_start = rec.byStart();
     for (double window : {0.0, 1.0, 100.0, 10000.0}) {
         const auto metered = rec.meteredLatencies(window);
         ASSERT_EQ(metered.size(), by_start.size());

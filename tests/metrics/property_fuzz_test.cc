@@ -67,25 +67,15 @@ class MeteredFuzz : public ::testing::TestWithParam<int>
 {
 };
 
-TEST_P(MeteredFuzz, MeteredDominatesSimpleAndLimitsHold)
+/**
+ * Metered latency dominates simple latency event by event (paired
+ * through byStart()), synthetic starts stay monotone within the span,
+ * and a tiny window reproduces simple latency.
+ */
+void
+checkMeteredLimits(const LatencyRecorder &rec)
 {
-    support::Rng rng(GetParam());
-    LatencyRecorder rec;
-    double t = 0.0;
-    const int n = 500 + static_cast<int>(rng.uniformInt(2000));
-    for (int i = 0; i < n; ++i) {
-        // Bursty arrivals with occasional long gaps.
-        t += rng.uniform() < 0.05 ? rng.exponential(5000.0)
-                                  : rng.exponential(100.0);
-        rec.record(t, t + rng.exponential(80.0));
-    }
-
-    std::vector<LatencyEvent> by_start = rec.events();
-    std::sort(by_start.begin(), by_start.end(),
-              [](const auto &a, const auto &b) {
-                  return a.start < b.start;
-              });
-
+    const auto by_start = rec.byStart();
     for (double window : {0.0, 10.0, 1000.0, 50000.0}) {
         const auto synth = rec.syntheticStarts(window);
         const auto metered = rec.meteredLatencies(window);
@@ -107,6 +97,42 @@ TEST_P(MeteredFuzz, MeteredDominatesSimpleAndLimitsHold)
     const auto tiny = rec.meteredLatencies(1e-9);
     for (std::size_t i = 0; i < tiny.size(); ++i)
         ASSERT_NEAR(tiny[i], by_start[i].latency(), 1e-3);
+}
+
+TEST_P(MeteredFuzz, MeteredDominatesSimpleAndLimitsHold)
+{
+    support::Rng rng(GetParam());
+    LatencyRecorder rec;
+    double t = 0.0;
+    const int n = 500 + static_cast<int>(rng.uniformInt(2000));
+    for (int i = 0; i < n; ++i) {
+        // Bursty arrivals with occasional long gaps.
+        t += rng.uniform() < 0.05 ? rng.exponential(5000.0)
+                                  : rng.exponential(100.0);
+        rec.record(t, t + rng.exponential(80.0));
+    }
+    checkMeteredLimits(rec);
+}
+
+TEST_P(MeteredFuzz, LaneRunsWithTiedStartsHoldLimits)
+{
+    // The closed-loop shape: one start-ordered run per lane, every lane
+    // starting at the same instant, and coarse-grained service times
+    // so starts also tie within and across lanes later on.
+    support::Rng rng(GetParam());
+    LatencyRecorder rec;
+    const int lanes = 2 + static_cast<int>(rng.uniformInt(15));
+    for (int lane = 0; lane < lanes; ++lane) {
+        double start = 1000.0;
+        const int count = 50 + static_cast<int>(rng.uniformInt(200));
+        for (int i = 0; i < count; ++i) {
+            const double end =
+                start + 10.0 * static_cast<double>(1 + rng.uniformInt(8));
+            rec.record(start, end);
+            start = end;
+        }
+    }
+    checkMeteredLimits(rec);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MeteredFuzz,
