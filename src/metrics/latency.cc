@@ -83,27 +83,6 @@ LatencyRecorder::spanEnd() const
 namespace {
 
 /**
- * Merge two start-ordered runs of event indices into @p out, the left
- * run first on equal starts (stable). The selection is branch-free:
- * closed-loop lanes interleave finely, so a compare-and-branch would
- * mispredict on about every other event.
- */
-void
-mergeByStart(const LatencyEvent *events, const std::uint32_t *l,
-             const std::uint32_t *l_end, const std::uint32_t *r,
-             const std::uint32_t *r_end, std::uint32_t *out)
-{
-    while (l != l_end && r != r_end) {
-        const bool right = events[*r].start < events[*l].start;
-        *out++ = right ? *r : *l;
-        r += right;
-        l += !right;
-    }
-    out = std::copy(l, l_end, out);
-    std::copy(r, r_end, out);
-}
-
-/**
  * Indices of @p events in start order, ties in record order: a
  * bottom-up merge of the maximal start-ordered runs, adjacent runs
  * pairwise per pass. A closed-loop recorder is one run per lane, so
@@ -123,6 +102,10 @@ startOrder(const std::vector<LatencyEvent> &events)
     }
     runs.push_back(n);
 
+    // std::merge takes the left run first on equal starts: stable.
+    const auto earlier = [&events](std::uint32_t a, std::uint32_t b) {
+        return events[a].start < events[b].start;
+    };
     std::vector<std::uint32_t> order(n);
     std::iota(order.begin(), order.end(), std::uint32_t{0});
     std::vector<std::uint32_t> scratch(runs.size() > 2 ? n : 0);
@@ -132,8 +115,8 @@ startOrder(const std::vector<LatencyEvent> &events)
             const std::size_t mid = runs[r + 1];
             const std::size_t hi = r + 2 < runs.size() ? runs[r + 2] : mid;
             const std::uint32_t *in = order.data();
-            mergeByStart(events.data(), in + runs[r], in + mid, in + mid,
-                         in + hi, scratch.data() + runs[r]);
+            std::merge(in + runs[r], in + mid, in + mid, in + hi,
+                       scratch.data() + runs[r], earlier);
             next.push_back(hi);
         }
         order.swap(scratch);
