@@ -3,8 +3,7 @@
  * capo-bench: the experiment multiplexer. One binary that can list
  * every registered reproduction experiment and run any of them by
  * name — `capo-bench list`, `capo-bench run fig01_lbo_geomean
- * --full`. The per-figure binaries remain as aliases over the same
- * registrations (alias_main.cc).
+ * --full`.
  */
 
 #include "report/experiment.hh"

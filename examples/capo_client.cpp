@@ -7,9 +7,9 @@
  *     capo-client --socket /tmp/capo.sock health
  *     capo-client --socket /tmp/capo.sock shutdown
  *
- * Experiment arguments go after `--`, exactly as the standalone
- * binary would take them. Result tables render in the same ASCII form
- * the bench binaries print; --raw dumps the wire body instead.
+ * Experiment arguments go after `--`, exactly as `capo-bench run`
+ * takes them. Result tables render in the same ASCII form capo-bench
+ * prints; --raw dumps the wire body instead.
  *
  * Exit codes: 0 OK, 1 request failed or unreachable, 2 usage.
  */

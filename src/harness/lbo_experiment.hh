@@ -41,7 +41,7 @@ struct WorkloadLbo
     metrics::LboAnalysis analysis;
 
     /** Engine events processed across every invocation of the sweep
-     *  (throughput denominator for bench reports). */
+     *  (perfbench's sim_events_per_s numerator). */
     std::uint64_t dispatches = 0;
 
     /** (collector, factor) -> did every invocation complete? */

@@ -81,13 +81,14 @@ struct WorkerCaches
     std::map<std::string, workloads::RunSetup> setups;
 };
 
-thread_local WorkerCaches *t_caches = nullptr;
+// Destroyed at thread exit, with the worker that filled it.
+thread_local std::unique_ptr<WorkerCaches> t_caches;
 
 WorkerCaches &
 workerCaches()
 {
     if (t_caches == nullptr)
-        t_caches = new WorkerCaches();  // leaked: lives to thread exit
+        t_caches = std::make_unique<WorkerCaches>();
     return *t_caches;
 }
 

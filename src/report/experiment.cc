@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iostream>
 
-#include "obs/bench_cli.hh"
 #include "support/logging.hh"
 
 namespace capo::report {
@@ -200,14 +199,8 @@ benchMain(int argc, char **argv)
             << "usage: capo-bench <command>\n"
                "  list | --list      list registered experiments\n"
                "                     (--list: bare names for scripts)\n"
-               "  run <name> [args]  run one experiment (args as the\n"
-               "                     standalone binary takes them)\n"
-               "  snapshot <name>    measure an experiment into\n"
-               "                     BENCH_<label>.json (obs layer)\n"
-               "  compare --baseline BENCH_<label>.json\n"
-               "                     re-measure and gate against the\n"
-               "                     checked-in baseline; exit 1 on a\n"
-               "                     significant slowdown\n";
+               "  run <name> [args]  run one experiment with its own\n"
+               "                     flags (run <name> --help)\n";
         return 2;
     };
     if (argc < 2)
@@ -238,13 +231,6 @@ benchMain(int argc, char **argv)
         // Shift argv so the experiment sees its own name as argv[0]
         // and only its own flags after it.
         return runExperimentMain(name, argc - 2, argv + 2);
-    }
-    if (command == "snapshot") {
-        // Shift argv so the subcommand parses only its own options.
-        return obs::snapshotMain(argc - 1, argv + 1);
-    }
-    if (command == "compare") {
-        return obs::compareMain(argc - 1, argv + 1);
     }
     std::cerr << "capo-bench: unknown command '" << command << "'\n";
     return usage();

@@ -10,8 +10,7 @@
  * main loop (flags → options → banner → run → artifact flush through
  * the ArtifactSink); and `benchMain()` is the `capo-bench`
  * multiplexer that can list and run any registered experiment by
- * name. The historical one-binary-per-figure targets remain as thin
- * aliases over the same registrations.
+ * name, the one binary that runs experiments.
  *
  * Registration is a static object per experiment translation unit:
  *
@@ -54,7 +53,7 @@ struct ExperimentContext
      *  experiment's quick presets; bodies copy and tweak freely. */
     harness::ExperimentOptions options;
 
-    /** The artifact choke point (bench reports, extra files). */
+    /** The artifact choke point (extra files beyond the store). */
     ArtifactSink &artifacts;
 
     /** Typed result tables; flushed through `artifacts` as

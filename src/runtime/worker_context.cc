@@ -1,20 +1,22 @@
 #include "runtime/worker_context.hh"
 
+#include <memory>
+
 namespace capo::runtime {
 
 namespace {
 
-thread_local WorkerContext *t_context = nullptr;
+// Owned by the thread: a pool worker's context (and the arena blocks
+// it holds) is destroyed when that worker exits.
+thread_local std::unique_ptr<WorkerContext> t_context;
 
 } // namespace
 
 WorkerContext &
 WorkerContext::instance()
 {
-    // Leaked on purpose: pool worker threads outlive most scopes and
-    // the context must stay valid until thread exit.
     if (t_context == nullptr)
-        t_context = new WorkerContext();
+        t_context.reset(new WorkerContext());
     return *t_context;
 }
 

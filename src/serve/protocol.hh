@@ -92,7 +92,7 @@ struct Request
     /** Registered experiment name (Run). */
     std::string experiment;
 
-    /** Experiment args exactly as the standalone binary takes them
+    /** Experiment args exactly as `capo-bench run` takes them
      *  (Run). Order matters for the cache key. */
     std::vector<std::string> args;
 

@@ -5,6 +5,8 @@
  * ThreadSanitizer smoke target (the CI TSan job runs them).
  */
 
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -78,9 +80,10 @@ TEST(DeterminismTest, InvocationSetBitIdenticalAcrossJobs)
 
 TEST(DeterminismTest, LboTablesIdenticalAcrossJobsAllCollectors)
 {
-    // The full production-collector set (all five), exported to the
-    // CSV stat table: the serial and 8-way tables must match byte for
-    // byte.
+    // The full production-collector set (all five) over two
+    // workloads, exported to the CSV stat table: the serial and 8-way
+    // tables must match byte for byte, and so must the suite-level
+    // geomean points aggregated from them.
     LboSweepOptions sweep;
     sweep.factors = {2.0, 3.0};
     sweep.collectors = gc::productionCollectors();
@@ -88,25 +91,56 @@ TEST(DeterminismTest, LboTablesIdenticalAcrossJobsAllCollectors)
     sweep.base.invocations = 2;
     ASSERT_EQ(sweep.collectors.size(), 5u);
 
-    const auto &fop = workloads::byName("fop");
-    const auto serial = runLboSweep(fop, sweep);
+    const auto sweepBoth = [&sweep] {
+        std::vector<WorkloadLbo> per_workload;
+        for (const char *name : {"fop", "luindex"})
+            per_workload.push_back(
+                runLboSweep(workloads::byName(name), sweep));
+        return per_workload;
+    };
+    const auto serial = sweepBoth();
+    const auto serial_points = aggregateSuiteLbo(serial, sweep);
 
     sweep.base.jobs = 8;
-    const auto parallel = runLboSweep(fop, sweep);
+    const auto parallel = sweepBoth();
+    const auto parallel_points = aggregateSuiteLbo(parallel, sweep);
 
-    EXPECT_EQ(serial.dispatches, parallel.dispatches);
-    for (auto algorithm : sweep.collectors) {
-        const std::string name = gc::algorithmName(algorithm);
-        for (double factor : sweep.factors) {
-            EXPECT_EQ(serial.completedAt(name, factor),
-                      parallel.completedAt(name, factor));
+    for (std::size_t w = 0; w < serial.size(); ++w) {
+        EXPECT_EQ(serial[w].dispatches, parallel[w].dispatches);
+        for (auto algorithm : sweep.collectors) {
+            const std::string name = gc::algorithmName(algorithm);
+            for (double factor : sweep.factors) {
+                EXPECT_EQ(serial[w].completedAt(name, factor),
+                          parallel[w].completedAt(name, factor));
+            }
         }
+
+        std::stringstream a, b;
+        metrics::exportLboCsv(serial[w].analysis, a);
+        metrics::exportLboCsv(parallel[w].analysis, b);
+        EXPECT_EQ(a.str(), b.str());
     }
 
-    std::stringstream a, b;
-    metrics::exportLboCsv(serial.analysis, a);
-    metrics::exportLboCsv(parallel.analysis, b);
-    EXPECT_EQ(a.str(), b.str());
+    // Bit patterns, not values: -0.0 vs 0.0 or a NaN payload would be
+    // a divergence too.
+    const auto bits = [](double v) {
+        return std::bit_cast<std::uint64_t>(v);
+    };
+    ASSERT_EQ(serial_points.size(), sweep.collectors.size() *
+                                        sweep.factors.size());
+    ASSERT_EQ(serial_points.size(), parallel_points.size());
+    for (std::size_t i = 0; i < serial_points.size(); ++i) {
+        const auto &a = serial_points[i];
+        const auto &b = parallel_points[i];
+        EXPECT_EQ(a.collector, b.collector);
+        EXPECT_EQ(bits(a.factor), bits(b.factor));
+        EXPECT_EQ(a.plotted, b.plotted);
+        EXPECT_EQ(a.completed, b.completed);
+        EXPECT_EQ(bits(a.wall_geomean), bits(b.wall_geomean))
+            << a.collector << " @ " << a.factor;
+        EXPECT_EQ(bits(a.cpu_geomean), bits(b.cpu_geomean))
+            << a.collector << " @ " << a.factor;
+    }
 }
 
 TEST(DeterminismTest, MinHeapGridIdenticalAcrossJobs)

@@ -1,9 +1,11 @@
 /**
  * @file
- * A deliberately small JSON parser shared by test suites — just enough
- * for the trace exporter's own output, so tests validate real syntax
- * rather than substrings. Strict: rejects trailing garbage, unknown
- * escapes and malformed numbers.
+ * The repository's one JSON parser, deliberately small and test-only:
+ * capo writes JSON (Chrome traces, JSON-lines tables) but never reads
+ * it back, so only the test suites parse it. It is just enough for the
+ * trace exporter's own output, so tests validate real syntax rather
+ * than substrings. Strict: rejects trailing garbage, unknown escapes
+ * and malformed numbers.
  */
 
 #ifndef CAPO_TESTS_TESTUTIL_JSON_HH
