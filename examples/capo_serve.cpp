@@ -23,7 +23,7 @@
 #include "report/artifact.hh"
 #include "serve/server.hh"
 #include "support/flags.hh"
-#include "trace/metrics_registry.hh"
+#include "trace/hot_metrics.hh"
 
 namespace {
 
@@ -110,8 +110,8 @@ main(int argc, char **argv)
             flags.getString("artifacts"));
         options.sink = sink.get();
     }
-    trace::MetricsRegistry metrics;
-    options.metrics = &metrics;
+    // The health scrape reads the hot tier, so record into it.
+    trace::hot::setEnabled(true);
 
     serve::ExperimentServer server(std::move(options));
     std::string error;

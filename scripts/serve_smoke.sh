@@ -4,7 +4,9 @@
 #  1. start capo-serve with an on-disk result cache;
 #  2. hammer it with 8 concurrent capo-client loops (distinct fault
 #     streams, a mix of repeated and fresh configurations);
-#  3. health must report HEALTHY throughout;
+#  3. health must report HEALTHY throughout, and after one served
+#     simulation its metrics table (the hot tier) must show nonzero
+#     sim.engine.events and harness.invocations;
 #  4. kill -9 the daemon mid-load — completed results must survive on
 #     disk;
 #  5. restart over the same artifact root: the cache warm-loads and a
@@ -87,13 +89,27 @@ if ! grep -l "(cached)" "$work"/client_*.log >/dev/null; then
     exit 1
 fi
 
-echo "== health stays HEALTHY under load"
+echo "== health stays HEALTHY under load and scrapes the hot tier"
+# tab01 computes no simulation; one small served sweep feeds the
+# simulator's hot counters.
+"$client" --socket "$sock" --stream 90 run fig05_lbo_cases \
+    -- --invocations 1 --iterations 1 > "$work/sim.log"
 "$client" --socket "$sock" health > "$work/health.log"
 grep -q "message: HEALTHY" "$work/health.log" || {
     echo "serve_smoke: server not HEALTHY:" >&2
     cat "$work/health.log" >&2
     exit 1
 }
+for counter in sim.engine.events harness.invocations; do
+    value="$(awk -v n="$counter" '$1 == n && $2 == "counter" {print $4}' \
+        "$work/health.log")"
+    echo "   $counter = ${value:-missing}"
+    if ! awk -v v="${value:-0}" 'BEGIN { exit !(v + 0 > 0) }'; then
+        echo "serve_smoke: metrics row $counter is not > 0:" >&2
+        cat "$work/health.log" >&2
+        exit 1
+    fi
+done
 
 echo "== kill -9 mid-load"
 ( while run_once 91 1 >/dev/null 2>&1; do :; done ) &

@@ -1,13 +1,26 @@
 #include "fault/fault.hh"
 
 #include <cctype>
+#include <iterator>
 #include <sstream>
 
 #include "support/logging.hh"
+#include "trace/hot_metrics.hh"
 
 namespace capo::fault {
 
 namespace {
+
+/** The "fault.injected.<site>" hot counter of each site, in Site
+ *  order. */
+constexpr trace::hot::Counter kInjectedCounters[] = {
+    trace::hot::FaultAllocOom,   trace::hot::FaultAllocStall,
+    trace::hot::FaultGcAbort,    trace::hot::FaultTimer,
+    trace::hot::FaultWorker,     trace::hot::FaultArtifactIo,
+    trace::hot::FaultConnIo,
+};
+static_assert(std::size(kInjectedCounters) == kSiteCount,
+              "one hot counter per fault site");
 
 std::string
 trimCopy(const std::string &text)
@@ -193,11 +206,7 @@ FaultInjector::fire(Site site, double now_ns)
                        now_ns,
                        static_cast<double>(record.sequence));
     }
-    if (metrics_ != nullptr) {
-        metrics_
-            ->counter(std::string("fault.injected.") + siteName(site))
-            .increment();
-    }
+    trace::hot::count(kInjectedCounters[static_cast<std::size_t>(site)]);
     return true;
 }
 
@@ -217,12 +226,6 @@ FaultInjector::attachTrace(trace::TraceSink *sink, trace::TrackId track)
 {
     sink_ = sink;
     track_ = track;
-}
-
-void
-FaultInjector::attachMetrics(trace::MetricsRegistry *metrics)
-{
-    metrics_ = metrics;
 }
 
 } // namespace capo::fault

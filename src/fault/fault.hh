@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "exec/seed.hh"
-#include "trace/metrics_registry.hh"
 #include "trace/sink.hh"
 
 namespace capo::fault {
@@ -164,7 +163,8 @@ class FaultInjector
     /**
      * Consult the site: advance its opportunity counter and decide.
      * When the site fires, the decision is recorded (see injected()),
-     * a trace instant is emitted and the site's metrics counter bumps.
+     * a trace instant is emitted and the site's hot-tier counter
+     * ("fault.injected.<site>") bumps.
      *
      * @param now_ns Current engine clock, for the fault record and
      *        trace stamp (pass 0 outside a simulation).
@@ -199,9 +199,6 @@ class FaultInjector
      */
     void attachTrace(trace::TraceSink *sink, trace::TrackId track);
 
-    /** Bump "fault.injected.<site>" counters in @p registry. */
-    void attachMetrics(trace::MetricsRegistry *metrics);
-
   private:
     /** Next uniform deviate in [0, 1) for @p site. */
     double draw(Site site);
@@ -213,7 +210,6 @@ class FaultInjector
 
     trace::TraceSink *sink_ = nullptr;
     trace::TrackId track_ = 0;
-    trace::MetricsRegistry *metrics_ = nullptr;
 };
 
 } // namespace capo::fault

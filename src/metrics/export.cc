@@ -92,38 +92,16 @@ exportMetricsCsv(const trace::MetricsRegistry &registry,
     csv.header({"name", "kind", "count", "min", "mean", "max", "stddev",
                 "last"});
     for (const auto &entry : registry.entries()) {
+        const auto &h = entry.histogram;
         csv.beginRow();
         csv.cell(entry.name);
-        csv.cell(std::string(
-            trace::MetricsRegistry::kindName(entry.kind)));
-        switch (entry.kind) {
-          case trace::MetricsRegistry::Kind::Counter:
-            csv.cell(std::uint64_t{1});
-            csv.cell(entry.counter.value());
-            csv.cell(entry.counter.value());
-            csv.cell(entry.counter.value());
-            csv.cell(0.0);
-            csv.cell(entry.counter.value());
-            break;
-          case trace::MetricsRegistry::Kind::Gauge:
-            csv.cell(std::uint64_t{entry.gauge.everSet() ? 1u : 0u});
-            csv.cell(entry.gauge.value());
-            csv.cell(entry.gauge.value());
-            csv.cell(entry.gauge.value());
-            csv.cell(0.0);
-            csv.cell(entry.gauge.value());
-            break;
-          case trace::MetricsRegistry::Kind::Histogram: {
-            const auto &h = entry.histogram;
-            csv.cell(h.count());
-            csv.cell(h.min());
-            csv.cell(h.mean());
-            csv.cell(h.max());
-            csv.cell(h.stddev());
-            csv.cell(h.last());
-            break;
-          }
-        }
+        csv.cell(std::string("histogram"));
+        csv.cell(h.count());
+        csv.cell(h.min());
+        csv.cell(h.mean());
+        csv.cell(h.max());
+        csv.cell(h.stddev());
+        csv.cell(h.last());
         csv.endRow();
     }
     return csv.rows();

@@ -47,9 +47,9 @@ std::size_t exportHeapTimelineCsv(const runtime::GcEventLog &log,
                                   std::ostream &out);
 
 /**
- * Write a metrics-registry summary (one row per counter, gauge or
- * histogram) to CSV. Histogram rows carry full distribution stats;
- * counters and gauges report their value in the `last` column.
+ * Write a metrics-registry summary (one row per histogram, with its
+ * full distribution stats) to CSV. The `kind` column always reads
+ * `histogram`.
  */
 std::size_t exportMetricsCsv(const trace::MetricsRegistry &registry,
                              std::ostream &out);

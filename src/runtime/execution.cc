@@ -54,8 +54,6 @@ runExecution(const ExecutionConfig &config, const MutatorPlan &plan,
         injector = std::make_unique<fault::FaultInjector>(
             *config.faults, config.seed, config.fault_attempt);
         engine.setFaultInjector(injector.get());
-        if (config.metrics != nullptr)
-            injector->attachMetrics(config.metrics);
     }
 
     CollectorContext context;

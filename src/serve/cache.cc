@@ -60,13 +60,6 @@ ResultCache::ResultCache(report::ArtifactSink *sink, std::string dir,
 {
 }
 
-void
-ResultCache::attachMetrics(trace::MetricsRegistry *metrics)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    metrics_ = metrics;
-}
-
 std::vector<std::uint64_t>
 ResultCache::evictOverCapsLocked()
 {
@@ -86,8 +79,6 @@ ResultCache::evictOverCapsLocked()
             entries_.erase(it);
         }
         ++evictions_;
-        if (metrics_ != nullptr)
-            metrics_->counter("serve.cache.evict").increment();
         evicted.push_back(victim);
     }
     return evicted;
@@ -150,8 +141,6 @@ ResultCache::loadFromDisk()
             emplaced.first->second.lru = recency_.begin();
             ++loaded_;
             ++count;
-            if (metrics_ != nullptr)
-                metrics_->counter("serve.cache.loaded").increment();
             const auto batch = evictOverCapsLocked();
             evicted.insert(evicted.end(), batch.begin(), batch.end());
         }
@@ -167,8 +156,6 @@ ResultCache::lookup(std::uint64_t key, std::string &payload)
     const auto it = entries_.find(key);
     if (it == entries_.end()) {
         ++misses_;
-        if (metrics_ != nullptr)
-            metrics_->counter("serve.cache.miss").increment();
         return false;
     }
     // The payload is copied out under the lock: an eviction racing
@@ -176,8 +163,6 @@ ResultCache::lookup(std::uint64_t key, std::string &payload)
     payload = it->second.payload;
     recency_.splice(recency_.begin(), recency_, it->second.lru);
     ++hits_;
-    if (metrics_ != nullptr)
-        metrics_->counter("serve.cache.hit").increment();
     return true;
 }
 
@@ -195,8 +180,6 @@ ResultCache::insert(std::uint64_t key, const std::string &payload)
         emplaced.first->second.payload = payload;
         emplaced.first->second.lru = recency_.begin();
         ++insertions_;
-        if (metrics_ != nullptr)
-            metrics_->counter("serve.cache.insert").increment();
         evicted = evictOverCapsLocked();
     }
     // Write-through outside the map lock (lookups stay fast during

@@ -40,9 +40,9 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "report/artifact.hh"
-#include "trace/metrics_registry.hh"
 
 namespace capo::serve {
 
@@ -67,9 +67,6 @@ class ResultCache
                          std::string dir = "cache",
                          std::size_t max_entries = 0,
                          std::size_t max_bytes = 0);
-
-    /** Bump serve.cache.* counters in @p registry (null detaches). */
-    void attachMetrics(trace::MetricsRegistry *metrics);
 
     /**
      * Warm the in-memory map from the on-disk cache directory
@@ -136,7 +133,6 @@ class ResultCache
     std::uint64_t insertions_ = 0;
     std::uint64_t loaded_ = 0;
     std::uint64_t evictions_ = 0;
-    trace::MetricsRegistry *metrics_ = nullptr;
 };
 
 } // namespace capo::serve

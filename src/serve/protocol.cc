@@ -365,7 +365,8 @@ decodeStore(const std::string &payload, report::ResultStore &store,
     std::size_t pos = 0;
     std::string line;
     if (!nextLine(payload, pos, line) ||
-        line.rfind(kStoreMagic, 0) != 0) {
+        line.rfind(kStoreMagic, 0) != 0 ||
+        line.size() < std::string(kStoreMagic).size() + 2) {
         error = "bad store magic";
         return false;
     }

@@ -50,14 +50,6 @@ FleetRouter::FleetRouter(RouterOptions options)
         options_.batch_size = 1;
 }
 
-void
-FleetRouter::bumpCounter(const char *name, std::uint64_t delta)
-{
-    if (options_.metrics != nullptr)
-        options_.metrics->counter(name).add(
-            static_cast<double>(delta));
-}
-
 std::vector<bool>
 FleetRouter::probeAll()
 {
@@ -76,7 +68,8 @@ FleetRouter::probeAll()
         ok[b] = client.health(response, error) &&
                 response.status == Status::Ok;
         registry_.reportProbe(b, ok[b]);
-        bumpCounter(ok[b] ? "fleet.probe.ok" : "fleet.probe.fail");
+        trace::hot::count(ok[b] ? trace::hot::FleetProbeOk
+                                : trace::hot::FleetProbeFail);
     }
     return ok;
 }
@@ -131,7 +124,7 @@ FleetRouter::dispatchBatch(const Batch &batch,
             results[idx].backend = endpoint.id;
             retry[idx] = 1;
         }
-        bumpCounter("fleet.batch.transport_fail");
+        trace::hot::count(trace::hot::FleetBatchTransportFail);
         return;
     }
 
@@ -230,7 +223,7 @@ FleetRouter::runCells(const std::vector<FleetCell> &cells)
         for (const std::size_t idx : unroutable) {
             results[idx].response = finalError("no live backends");
             results[idx].attempts = attempts[idx] + 1;
-            bumpCounter("fleet.cells.unroutable");
+            trace::hot::count(trace::hot::FleetCellsUnroutable);
         }
 
         // 2./3. Batch I/O, parallel up to `jobs` threads. Outcomes
@@ -278,7 +271,6 @@ FleetRouter::runCells(const std::vector<FleetCell> &cells)
                 trace::hot::count(trace::hot::FleetCells);
                 trace::hot::observe(trace::hot::FleetCellAttempts,
                                     results[idx].attempts);
-                bumpCounter("fleet.cells.completed");
                 continue;
             }
             ++attempts[idx];
@@ -288,13 +280,12 @@ FleetRouter::runCells(const std::vector<FleetCell> &cells)
                     std::to_string(attempts[idx]) + " tries: " +
                     results[idx].response.message);
                 results[idx].attempts = attempts[idx];
-                bumpCounter("fleet.cells.exhausted");
+                trace::hot::count(trace::hot::FleetCellsExhausted);
                 continue;
             }
             requests[idx].attempt =
                 static_cast<std::uint64_t>(attempts[idx]);
             trace::hot::count(trace::hot::FleetFailovers);
-            bumpCounter("fleet.failovers");
             still_pending.push_back(idx);
         }
         pending = std::move(still_pending);

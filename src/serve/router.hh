@@ -43,7 +43,6 @@
 
 #include "serve/protocol.hh"
 #include "serve/registry.hh"
-#include "trace/metrics_registry.hh"
 
 namespace capo::serve {
 
@@ -92,9 +91,6 @@ struct RouterOptions
     /** Base of the per-cell fault stream ids: cell i uses stream
      *  stream_base + i, so concurrent fleets can stay disjoint. */
     std::uint64_t stream_base = 0;
-
-    /** Metrics registry for fleet.* counters (null disables). */
-    trace::MetricsRegistry *metrics = nullptr;
 };
 
 /**
@@ -136,8 +132,6 @@ class FleetRouter
                        const std::vector<Request> &requests,
                        std::vector<FleetCellResult> &results,
                        std::vector<std::uint8_t> &retry);
-
-    void bumpCounter(const char *name, std::uint64_t delta = 1);
 
     RouterOptions options_;
     BackendRegistry registry_;

@@ -36,8 +36,7 @@ errorResponse(std::string message)
 } // namespace
 
 report::ResultStore
-healthStore(const HealthSnapshot &snapshot,
-            const trace::MetricsRegistry *metrics)
+healthStore(const HealthSnapshot &snapshot)
 {
     report::ResultStore store;
     auto &table = store.table(
@@ -63,6 +62,9 @@ healthStore(const HealthSnapshot &snapshot,
         static_cast<double>(snapshot.shutting_down));
     row("cache_hits", static_cast<double>(snapshot.cache_hits));
     row("cache_misses", static_cast<double>(snapshot.cache_misses));
+    row("cache_insertions",
+        static_cast<double>(snapshot.cache_insertions));
+    row("cache_loaded", static_cast<double>(snapshot.cache_loaded));
     row("cache_entries",
         static_cast<double>(snapshot.cache_entries));
     row("cache_bytes", static_cast<double>(snapshot.cache_bytes));
@@ -77,66 +79,36 @@ healthStore(const HealthSnapshot &snapshot,
     row("conn_quarantined",
         static_cast<double>(snapshot.conn_quarantined));
 
-    if (metrics != nullptr && !metrics->empty()) {
-        auto &scrape = store.table(
-            "metrics",
-            report::Schema{{"name", report::Type::String},
-                           {"kind", report::Type::String},
-                           {"count", report::Type::Uint},
-                           {"value", report::Type::Double},
-                           {"mean", report::Type::Double},
-                           {"p50", report::Type::Double},
-                           {"p90", report::Type::Double},
-                           {"p99", report::Type::Double},
-                           {"max", report::Type::Double}});
-        // forEach holds the registration mutex, so a scrape races
-        // only with relaxed value updates, never entry creation.
-        metrics->forEach([&scrape](
-                             const trace::MetricsRegistry::Entry &e) {
-            std::vector<report::Value> cells;
-            cells.push_back(report::Value::str(e.name));
-            cells.push_back(report::Value::str(
-                trace::MetricsRegistry::kindName(e.kind)));
-            switch (e.kind) {
-              case trace::MetricsRegistry::Kind::Counter:
-                cells.push_back(report::Value::uinteger(0));
-                cells.push_back(
-                    report::Value::dbl(e.counter.value()));
-                cells.push_back(report::Value::dbl(0.0));
-                cells.push_back(report::Value::dbl(0.0));
-                cells.push_back(report::Value::dbl(0.0));
-                cells.push_back(report::Value::dbl(0.0));
-                cells.push_back(report::Value::dbl(0.0));
-                break;
-              case trace::MetricsRegistry::Kind::Gauge:
-                cells.push_back(report::Value::uinteger(0));
-                cells.push_back(report::Value::dbl(e.gauge.value()));
-                cells.push_back(report::Value::dbl(0.0));
-                cells.push_back(report::Value::dbl(0.0));
-                cells.push_back(report::Value::dbl(0.0));
-                cells.push_back(report::Value::dbl(0.0));
-                cells.push_back(report::Value::dbl(0.0));
-                break;
-              case trace::MetricsRegistry::Kind::Histogram: {
-                const auto &h = e.histogram;
-                const std::uint64_t n = h.count();
-                cells.push_back(report::Value::uinteger(n));
-                cells.push_back(report::Value::dbl(h.sum()));
-                cells.push_back(
-                    report::Value::dbl(n > 0 ? h.mean() : 0.0));
-                cells.push_back(
-                    report::Value::dbl(h.quantile(0.5)));
-                cells.push_back(
-                    report::Value::dbl(h.quantile(0.9)));
-                cells.push_back(
-                    report::Value::dbl(h.quantile(0.99)));
-                cells.push_back(
-                    report::Value::dbl(n > 0 ? h.max() : 0.0));
-                break;
-              }
-            }
-            scrape.addRow(std::move(cells));
-        });
+    // One row per cell of the fixed hot tier: the scrape costs the
+    // same however long the process has been recording.
+    auto &scrape = store.table(
+        "metrics", report::Schema{{"name", report::Type::String},
+                                  {"kind", report::Type::String},
+                                  {"count", report::Type::Uint},
+                                  {"value", report::Type::Double},
+                                  {"mean", report::Type::Double},
+                                  {"p50", report::Type::Double},
+                                  {"p90", report::Type::Double},
+                                  {"p99", report::Type::Double}});
+    const trace::hot::Snapshot hot = trace::hot::snapshot();
+    for (std::size_t i = 0; i < trace::hot::kCounterCount; ++i) {
+        scrape.addRow(
+            {report::Value::str(trace::hot::counterName(
+                 static_cast<trace::hot::Counter>(i))),
+             report::Value::str("counter"), report::Value::uinteger(0),
+             report::Value::dbl(static_cast<double>(hot.counters[i])),
+             report::Value::dbl(0.0), report::Value::dbl(0.0),
+             report::Value::dbl(0.0), report::Value::dbl(0.0)});
+    }
+    for (const auto &h : hot.histograms) {
+        scrape.addRow({report::Value::str(h.name),
+                       report::Value::str("histogram"),
+                       report::Value::uinteger(h.count),
+                       report::Value::dbl(h.sum),
+                       report::Value::dbl(h.mean()),
+                       report::Value::dbl(h.quantile(0.5)),
+                       report::Value::dbl(h.quantile(0.9)),
+                       report::Value::dbl(h.quantile(0.99))});
     }
     return store;
 }
@@ -147,7 +119,6 @@ ExperimentServer::ExperimentServer(ServerOptions options)
              options_.cache_max_entries, options_.cache_max_bytes),
       queue_(options_.queue_capacity)
 {
-    cache_.attachMetrics(options_.metrics);
     if (options_.workers == 0)
         options_.workers = 1;
 }
@@ -257,6 +228,8 @@ ExperimentServer::healthSnapshot() const
     snapshot.shutting_down = shutting_down_.load();
     snapshot.cache_hits = cache_.hits();
     snapshot.cache_misses = cache_.misses();
+    snapshot.cache_insertions = cache_.insertions();
+    snapshot.cache_loaded = cache_.loaded();
     snapshot.cache_entries = cache_.entryCount();
     snapshot.cache_bytes = cache_.byteCount();
     snapshot.cache_evictions = cache_.evictions();
@@ -266,13 +239,6 @@ ExperimentServer::healthSnapshot() const
     snapshot.conn_write_faults = conn_write_faults_.load();
     snapshot.conn_quarantined = conn_quarantined_.load();
     return snapshot;
-}
-
-void
-ExperimentServer::bumpCounter(const char *name)
-{
-    if (options_.metrics != nullptr)
-        options_.metrics->counter(name).increment();
 }
 
 void
@@ -287,7 +253,6 @@ ExperimentServer::acceptLoop(int listen_fd)
             continue;
         }
         conn_accepted_.fetch_add(1);
-        bumpCounter("serve.conn.accepted");
         std::lock_guard<std::mutex> lock(connections_mutex_);
         open_fds_.insert(fd);
         connections_.emplace_back(
@@ -323,7 +288,6 @@ ExperimentServer::connectionLoop(int fd)
             injector.fire(fault::Site::ConnIo, 0.0)) {
             // Injected short read: the request never "arrived".
             conn_read_drops_.fetch_add(1);
-            bumpCounter("serve.conn.read_drop");
             break;
         }
 
@@ -332,12 +296,7 @@ ExperimentServer::connectionLoop(int fd)
             response.status = Status::Ok;
             response.message =
                 draining_.load() ? "DRAINING" : "HEALTHY";
-            // Fold the lock-free hot tier into the registry first so
-            // one scrape shows both metric families.
-            if (options_.metrics != nullptr)
-                trace::hot::mirrorInto(*options_.metrics);
-            response.body = encodeStore(
-                healthStore(healthSnapshot(), options_.metrics));
+            response.body = encodeStore(healthStore(healthSnapshot()));
             if (!writeResponse(fd, response, injector))
                 break;
             continue;
@@ -418,12 +377,10 @@ ExperimentServer::runCell(const Request &request)
     switch (queue_.tryPush(std::move(ticket))) {
     case AdmissionQueue::Admit::Accepted:
         accepted_.fetch_add(1);
-        bumpCounter("serve.queue.accepted");
         response = future.get();
         break;
     case AdmissionQueue::Admit::QueueFull:
         retry_later_.fetch_add(1);
-        bumpCounter("serve.queue.retry_later");
         response.status = Status::RetryLater;
         response.message = "admission queue full";
         break;
@@ -449,7 +406,6 @@ ExperimentServer::writeResponse(int fd, const Response &response,
             injector.fire(fault::Site::ConnIo, 0.0)) {
             // Injected write failure: consume the attempt, retry.
             conn_write_faults_.fetch_add(1);
-            bumpCounter("serve.conn.write_fault");
             continue;
         }
         // A real send failure is not retryable — bytes may be on the
@@ -457,7 +413,6 @@ ExperimentServer::writeResponse(int fd, const Response &response,
         return sendFrame(fd, payload);
     }
     conn_quarantined_.fetch_add(1);
-    bumpCounter("serve.conn.quarantined");
     return false;
 }
 
@@ -470,7 +425,6 @@ ExperimentServer::workerLoop()
         if (ticket.has_deadline &&
             std::chrono::steady_clock::now() > ticket.deadline) {
             deadline_expired_.fetch_add(1);
-            bumpCounter("serve.queue.deadline_expired");
             response.status = Status::DeadlineExpired;
             response.message = "deadline passed before execution";
             ticket.respond(std::move(response));
@@ -498,7 +452,6 @@ ExperimentServer::workerLoop()
             completed_.fetch_add(1);
         } else {
             errors_.fetch_add(1);
-            bumpCounter("serve.run.errors");
         }
         ticket.respond(std::move(response));
     }

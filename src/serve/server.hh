@@ -61,7 +61,6 @@
 #include "serve/admission.hh"
 #include "serve/cache.hh"
 #include "serve/protocol.hh"
-#include "trace/metrics_registry.hh"
 
 namespace capo::serve {
 
@@ -101,10 +100,6 @@ struct ServerOptions
     std::string cache_dir = "cache";
     std::size_t cache_max_entries = 0;
     std::size_t cache_max_bytes = 0;
-
-    /** Metrics registry for queue/cache/connection stats (null
-     *  disables). */
-    trace::MetricsRegistry *metrics = nullptr;
 };
 
 /** Point-in-time server statistics (the health endpoint's payload). */
@@ -123,6 +118,8 @@ struct HealthSnapshot
     std::uint64_t shutting_down = 0;
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
+    std::uint64_t cache_insertions = 0;
+    std::uint64_t cache_loaded = 0;
     std::uint64_t cache_entries = 0;
     std::uint64_t cache_bytes = 0;
     std::uint64_t cache_evictions = 0;
@@ -135,13 +132,10 @@ struct HealthSnapshot
 
 /** Encode a snapshot as a result store, so health responses travel
  *  and render like any result. Table "health" carries the scalar
- *  stats; with a non-null @p metrics, table "metrics" carries one row
- *  per registry entry (counters/gauges with their value, histograms
- *  with count/mean/p50/p90/p99/max) — the live scrape a monitoring
- *  client renders. */
-report::ResultStore
-healthStore(const HealthSnapshot &snapshot,
-            const trace::MetricsRegistry *metrics = nullptr);
+ *  stats; table "metrics" carries one row per hot-tier counter (its
+ *  value) and histogram (count, sum, mean, p50, p90, p99) — the live
+ *  scrape a monitoring client renders (trace/hot_metrics.hh). */
+report::ResultStore healthStore(const HealthSnapshot &snapshot);
 
 /**
  * The server. start() spawns the accept/worker threads and returns;
@@ -198,8 +192,6 @@ class ExperimentServer
      *  connection must be dropped. */
     bool writeResponse(int fd, const Response &response,
                        fault::FaultInjector &injector);
-
-    void bumpCounter(const char *name);
 
     ServerOptions options_;
     ResultCache cache_;

@@ -1,9 +1,6 @@
 #include "trace/hot_metrics.hh"
 
-#include <mutex>
-
 #include "support/logging.hh"
-#include "trace/metrics_registry.hh"
 
 namespace capo::trace::hot {
 
@@ -149,51 +146,6 @@ reset()
         cell.store(0, std::memory_order_relaxed);
     for (auto &cell : cells.counters)
         cell.store(0, std::memory_order_relaxed);
-}
-
-void
-mirrorInto(MetricsRegistry &registry)
-{
-    // The skip-already-mirrored logic below is read-modify-write over
-    // the registry, so concurrent mirrors (two health scrapes at
-    // once) must serialize. Cold path; recording stays lock-free.
-    static std::mutex mirror_mutex;
-    const std::lock_guard<std::mutex> hold(mirror_mutex);
-
-    const Snapshot snap = snapshot();
-    for (std::size_t i = 0; i < kCounterCount; ++i) {
-        auto &counter = registry.counter(kCounterNames[i]);
-        const double delta =
-            static_cast<double>(snap.counters[i]) - counter.value();
-        if (delta > 0.0)
-            counter.add(delta);
-    }
-    for (const auto &hist : snap.histograms) {
-        auto &target = registry.histogram(hist.name);
-        // Feed bucket midpoints so the registry's log-bucketed view
-        // approximates the same distribution; only new samples since
-        // the last mirror are replayed.
-        std::uint64_t already = target.count();
-        for (std::size_t b = 0; b < hist.buckets.size(); ++b) {
-            const double lower =
-                b == 0 ? 0.0
-                       : (b - 1 < hist.bounds.size() ? hist.bounds[b - 1]
-                                                     : 0.0);
-            const double upper = b < hist.bounds.size()
-                                     ? hist.bounds[b]
-                                     : (hist.bounds.empty()
-                                            ? 0.0
-                                            : hist.bounds.back());
-            const double mid = 0.5 * (lower + upper);
-            for (std::uint64_t n = 0; n < hist.buckets[b]; ++n) {
-                if (already > 0) {
-                    --already;
-                    continue;
-                }
-                target.record(mid);
-            }
-        }
-    }
 }
 
 } // namespace capo::trace::hot

@@ -3,14 +3,14 @@
  * Lock-free fixed-bucket metrics for the simulation/execution hot
  * paths.
  *
- * The general MetricsRegistry (trace/metrics_registry.hh) resolves
- * metric *names* under a mutex and its log-bucketed Histogram computes
- * a log10 per record — fine for a periodic sampler, far too heavy for
- * code that runs millions of times per second across every pool
- * worker. This module is the hot tier: the metric set is fixed at
- * compile time (the ClickHouse `CurrentHistogramMetrics` idiom), each
- * metric's bucket bounds are `constexpr`, and all storage is one flat
- * array of relaxed atomics. A record is: one relaxed load of the
+ * The sampler's MetricsRegistry (trace/metrics_registry.hh) resolves
+ * histogram *names* under a mutex and computes a log10 per record —
+ * fine for a periodic sampler, far too heavy for code that runs
+ * millions of times per second across every pool worker. This module
+ * is the process's one tier of fixed-name counts and distributions:
+ * the metric set is fixed at compile time (the ClickHouse
+ * `CurrentHistogramMetrics` idiom), each metric's bucket bounds are
+ * `constexpr`, and all storage is one flat array of relaxed atomics. A record is: one relaxed load of the
  * enable flag, a short constexpr-bounded scan for the bucket, and one
  * `fetch_add` — no mutex, no CAS loop, no allocation, ever.
  *
@@ -19,8 +19,9 @@
  * (snapshot()); nothing on any result path may read them, so their
  * cross-thread interleaving can never perturb experiment output.
  *
- * Disabled behaviour: when the gate is off (the default for library
- * code; harness entry points turn it on), observe()/count() cost a
+ * Disabled behaviour: the gate is off by default. perfbench's traced
+ * passes, capo-serve (whose health scrape reads this tier) and the
+ * tests turn it on. While it is off, observe()/count() cost a
  * single relaxed load and branch — cheap enough to leave compiled into
  * every hot loop unconditionally (bench/micro_trace.cc holds the
  * proof).
@@ -35,10 +36,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-namespace capo::trace {
-class MetricsRegistry;
-}
 
 namespace capo::trace::hot {
 
@@ -75,7 +72,19 @@ namespace capo::trace::hot {
     M(AllocStalls, "runtime.alloc.stalls")                                 \
     M(FleetCells, "fleet.cells")                                           \
     M(FleetFailovers, "fleet.failovers")                                   \
-    M(GcPauses, "gc.pauses")
+    M(FleetProbeOk, "fleet.probe.ok")                                      \
+    M(FleetProbeFail, "fleet.probe.fail")                                  \
+    M(FleetBatchTransportFail, "fleet.batch.transport_fail")               \
+    M(FleetCellsUnroutable, "fleet.cells.unroutable")                      \
+    M(FleetCellsExhausted, "fleet.cells.exhausted")                        \
+    M(GcPauses, "gc.pauses")                                               \
+    M(FaultAllocOom, "fault.injected.alloc-oom")                           \
+    M(FaultAllocStall, "fault.injected.alloc-stall")                       \
+    M(FaultGcAbort, "fault.injected.gc-abort")                             \
+    M(FaultTimer, "fault.injected.timer")                                  \
+    M(FaultWorker, "fault.injected.worker")                                \
+    M(FaultArtifactIo, "fault.injected.artifact-io")                       \
+    M(FaultConnIo, "fault.injected.conn-io")
 
 #define M(NAME, ...) NAME,
 enum Histogram : std::size_t { CAPO_APPLY_TO_HOT_HISTOGRAMS(M) };
@@ -151,7 +160,7 @@ enabled()
     return detail::g_enabled.load(std::memory_order_relaxed);
 }
 
-/** Flip recording on/off (harness entry points, tests). */
+/** Flip recording on/off (perfbench, capo-serve, tests). */
 void setEnabled(bool on);
 
 /**
@@ -354,13 +363,6 @@ Snapshot snapshot();
 
 /** Zero every cell. Callers must guarantee no concurrent recording. */
 void reset();
-
-/**
- * Mirror the hot tier into a general registry (one counter per hot
- * counter, one log-bucketed histogram fed the per-bucket midpoints)
- * so exports that only know the registry still see the hot tier.
- */
-void mirrorInto(MetricsRegistry &registry);
 
 } // namespace capo::trace::hot
 

@@ -90,47 +90,15 @@ Histogram::quantile(double q) const
     return max();
 }
 
-MetricsRegistry::Entry &
-MetricsRegistry::fetch(const std::string &name, Kind kind)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = by_name_.find(name);
-    if (it != by_name_.end()) {
-        auto &entry = entries_[it->second];
-        CAPO_ASSERT(entry.kind == kind, "metric '", name,
-                    "' already registered as ", kindName(entry.kind));
-        return entry;
-    }
-    by_name_.emplace(name, entries_.size());
-    entries_.emplace_back(name, kind);
-    return entries_.back();
-}
-
-Counter &
-MetricsRegistry::counter(const std::string &name)
-{
-    return fetch(name, Kind::Counter).counter;
-}
-
-Gauge &
-MetricsRegistry::gauge(const std::string &name)
-{
-    return fetch(name, Kind::Gauge).gauge;
-}
-
 Histogram &
 MetricsRegistry::histogram(const std::string &name)
 {
-    return fetch(name, Kind::Histogram).histogram;
-}
-
-void
-MetricsRegistry::forEach(
-    const std::function<void(const Entry &)> &visit) const
-{
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &entry : entries_)
-        visit(entry);
+    const auto it = by_name_.find(name);
+    if (it != by_name_.end())
+        return entries_[it->second].histogram;
+    by_name_.emplace(name, entries_.size());
+    return entries_.emplace_back(name).histogram;
 }
 
 bool
@@ -145,20 +113,6 @@ MetricsRegistry::size() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return entries_.size();
-}
-
-const char *
-MetricsRegistry::kindName(Kind kind)
-{
-    switch (kind) {
-      case Kind::Counter:
-        return "counter";
-      case Kind::Gauge:
-        return "gauge";
-      case Kind::Histogram:
-        return "histogram";
-    }
-    return "?";
 }
 
 } // namespace capo::trace

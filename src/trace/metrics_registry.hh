@@ -1,12 +1,12 @@
 /**
  * @file
- * Named metrics: counters, gauges and log-bucketed histograms.
+ * Named log-bucketed histograms for the periodic sampler.
  *
  * The registry is the aggregate side of the tracing subsystem: where
  * the TraceSink keeps the raw timeline, the registry keeps summary
- * statistics (how much, how often, how spread) cheap enough to update
- * on every sample. The periodic sampler (trace/sampler.hh) feeds both:
- * each probe reading becomes a counter-track event *and* a histogram
+ * statistics (how often, how spread) cheap enough to update on every
+ * sample. The periodic sampler (trace/sampler.hh) feeds both: each
+ * probe reading becomes a counter-track event *and* a histogram
  * observation, so offline CSV summaries and the Perfetto view can
  * never disagree about what was measured.
  *
@@ -25,7 +25,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -69,37 +68,6 @@ atomicMax(std::atomic<double> &target, double value)
 }
 
 } // namespace detail
-
-/** A monotonically accumulating value (bytes allocated, events seen). */
-class Counter
-{
-  public:
-    void add(double delta) { detail::atomicAdd(value_, delta); }
-    void increment() { add(1.0); }
-    double value() const { return value_.load(std::memory_order_relaxed); }
-
-  private:
-    std::atomic<double> value_{0.0};
-};
-
-/** A point-in-time value that may move either way (heap occupancy). */
-class Gauge
-{
-  public:
-    void
-    set(double value)
-    {
-        value_.store(value, std::memory_order_relaxed);
-        ever_set_.store(true, std::memory_order_relaxed);
-    }
-
-    double value() const { return value_.load(std::memory_order_relaxed); }
-    bool everSet() const { return ever_set_.load(std::memory_order_relaxed); }
-
-  private:
-    std::atomic<double> value_{0.0};
-    std::atomic<bool> ever_set_{false};
-};
 
 /**
  * Log-bucketed histogram of non-negative samples.
@@ -152,57 +120,35 @@ class Histogram
 };
 
 /**
- * Insertion-ordered registry of named metrics.
+ * Insertion-ordered registry of named histograms: the periodic
+ * sampler's per-probe distributions, whose names are only known at
+ * run time. Fixed-name counts and distributions live in the hot tier
+ * (trace/hot_metrics.hh).
  *
- * Accessors create on first use and return stable references (storage
- * is a deque, which never relocates elements); registering the same
- * name with a different kind is a usage bug and panics. Lookup takes a
- * mutex — callers on hot paths (the sampler) cache the references.
+ * histogram() creates on first use and returns a stable reference
+ * (storage is a deque, which never relocates elements). Lookup takes
+ * a mutex — callers on hot paths (the sampler) cache the references.
  */
 class MetricsRegistry
 {
   public:
-    enum class Kind { Counter, Gauge, Histogram };
-
     struct Entry {
-        Entry(std::string n, Kind k) : name(std::move(n)), kind(k) {}
+        explicit Entry(std::string n) : name(std::move(n)) {}
 
         std::string name;
-        Kind kind;
-        Counter counter;
-        Gauge gauge;
         Histogram histogram;
     };
 
-    Counter &counter(const std::string &name);
-    Gauge &gauge(const std::string &name);
     Histogram &histogram(const std::string &name);
 
     bool contains(const std::string &name) const;
     std::size_t size() const;
-    bool empty() const { return size() == 0; }
 
     /** Entries in registration order (for reports and CSV export);
      *  only safe while no concurrent registration is possible. */
     const std::deque<Entry> &entries() const { return entries_; }
 
-    /**
-     * Visit every entry in registration order while holding the
-     * registration mutex, so live scrapers (the serve health
-     * endpoint) can iterate concurrently with metric *creation*.
-     * Values read inside the callback are still relaxed-atomic reads:
-     * exact at quiescence, near-current under load. The callback must
-     * not register metrics (deadlock).
-     */
-    void forEach(
-        const std::function<void(const Entry &)> &visit) const;
-
-    /** Printable name of a metric kind. */
-    static const char *kindName(Kind kind);
-
   private:
-    Entry &fetch(const std::string &name, Kind kind);
-
     mutable std::mutex mutex_;
     std::deque<Entry> entries_;
     std::map<std::string, std::size_t> by_name_;

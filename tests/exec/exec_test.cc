@@ -6,6 +6,8 @@
 
 #include <array>
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -24,16 +26,21 @@ TEST(PoolTest, RunsSubmittedTasks)
     std::atomic<int> ran{0};
     std::mutex mutex;
     std::condition_variable cv;
+    bool done = false;  // guarded by mutex
     for (int i = 0; i < 100; ++i) {
         pool.submit([&] {
             if (ran.fetch_add(1) + 1 == 100) {
+                // Set and notify under the lock: the waiter cannot
+                // return (and destroy mutex and cv) until this task
+                // has released the lock for the last time.
                 std::lock_guard<std::mutex> lock(mutex);
+                done = true;
                 cv.notify_all();
             }
         });
     }
     std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [&] { return ran.load() == 100; });
+    cv.wait(lock, [&] { return done; });
     EXPECT_EQ(ran.load(), 100);
 }
 

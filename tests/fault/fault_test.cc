@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <sstream>
@@ -20,6 +21,7 @@
 #include "harness/runner.hh"
 #include "metrics/export.hh"
 #include "report/artifact.hh"
+#include "trace/hot_metrics.hh"
 #include "workloads/registry.hh"
 
 namespace capo::fault {
@@ -347,6 +349,47 @@ TEST(FaultRetryTest, RetriesSaltTheScheduleAndAreRecorded)
         }
     }
     EXPECT_GT(cleared, 0);
+}
+
+TEST(FaultCountersTest, HotCountersMatchEachInvocationsFaults)
+{
+    const auto &fop = workloads::byName("fop");
+    auto options = faultyOptions(1);
+    options.faults.setRate(Site::GcPhaseAbort, 0.01);
+    harness::Runner runner(options);
+
+    // Each site's counter, found by its dotted name.
+    std::array<trace::hot::Counter, kSiteCount> counters{};
+    for (std::size_t s = 0; s < kSiteCount; ++s) {
+        const std::string name = std::string("fault.injected.") +
+                                 siteName(static_cast<Site>(s));
+        std::size_t c = 0;
+        while (c < trace::hot::kCounterCount &&
+               name != trace::hot::counterName(
+                           static_cast<trace::hot::Counter>(c)))
+            ++c;
+        ASSERT_LT(c, trace::hot::kCounterCount) << name;
+        counters[s] = static_cast<trace::hot::Counter>(c);
+    }
+    trace::hot::setEnabled(true);
+    std::size_t injected = 0;
+    for (int inv = 0; inv < 3; ++inv) {
+        const auto before = trace::hot::snapshot();
+        const auto run = runner.runOnce(fop, gc::Algorithm::G1,
+                                        fop.gc.gmd_mb * 2.0, inv);
+        const auto delta = trace::hot::snapshot().since(before);
+        std::array<std::uint64_t, kSiteCount> per_site{};
+        for (const auto &fault : run.faults)
+            ++per_site[static_cast<std::size_t>(fault.site)];
+        for (std::size_t s = 0; s < kSiteCount; ++s) {
+            EXPECT_EQ(delta.counter(counters[s]), per_site[s])
+                << siteName(static_cast<Site>(s)) << " invocation "
+                << inv;
+        }
+        injected += run.faults.size();
+    }
+    trace::hot::setEnabled(false);
+    EXPECT_GT(injected, 0u);
 }
 
 TEST(FaultRetryTest, RetriesAreSkippedWithoutFaults)

@@ -97,33 +97,20 @@ TEST(MetricsExportEdgeTest, EmptyRegistryWritesHeaderOnly)
     EXPECT_EQ(lines[0], "name,kind,count,min,mean,max,stddev,last");
 }
 
-TEST(MetricsExportEdgeTest, CounterGaugeHistogramRows)
+TEST(MetricsExportEdgeTest, HistogramRowsInRegistrationOrder)
 {
     trace::MetricsRegistry registry;
-    registry.counter("events").add(7.0);
-    registry.gauge("level").set(0.25);
     auto &h = registry.histogram("pause");
     h.record(2.0);
     h.record(4.0);
+    registry.histogram("level").record(0.25);
 
     std::stringstream out;
-    EXPECT_EQ(exportMetricsCsv(registry, out), 3u);
+    EXPECT_EQ(exportMetricsCsv(registry, out), 2u);
     const auto lines = splitLines(out.str());
-    ASSERT_EQ(lines.size(), 4u);
-    EXPECT_EQ(lines[1], "events,counter,1,7,7,7,0,7");
-    EXPECT_EQ(lines[2], "level,gauge,1,0.25,0.25,0.25,0,0.25");
-    EXPECT_EQ(lines[3], "pause,histogram,2,2,3,4,1,4");
-}
-
-TEST(MetricsExportEdgeTest, UnsetGaugeReportsZeroCount)
-{
-    trace::MetricsRegistry registry;
-    registry.gauge("never-set");
-    std::stringstream out;
-    EXPECT_EQ(exportMetricsCsv(registry, out), 1u);
-    const auto lines = splitLines(out.str());
-    ASSERT_EQ(lines.size(), 2u);
-    EXPECT_EQ(lines[1], "never-set,gauge,0,0,0,0,0,0");
+    ASSERT_EQ(lines.size(), 3u);
+    EXPECT_EQ(lines[1], "pause,histogram,2,2,3,4,1,4");
+    EXPECT_EQ(lines[2], "level,histogram,1,0.25,0.25,0.25,0,0.25");
 }
 
 TEST(MetricsExportEdgeTest, EmptyHistogramRowIsAllZeros)

@@ -36,7 +36,7 @@
 #include "serve/server.hh"
 #include "serve/socket.hh"
 #include "support/flags.hh"
-#include "trace/metrics_registry.hh"
+#include "trace/hot_metrics.hh"
 
 using namespace capo;
 using namespace capo::serve;
@@ -732,8 +732,8 @@ TEST(FleetRouterTest, UnreachableBackendFailsOver)
     ghost.socket_path = fleet[0]->dir + "/nobody-listens.sock";
     options.backends.push_back(ghost);
 
-    trace::MetricsRegistry metrics;
-    options.metrics = &metrics;
+    trace::hot::setEnabled(true);
+    const auto before = trace::hot::snapshot();
     FleetRouter router(std::move(options));
     const auto results = router.runCells(cells);
     for (const auto &result : results) {
@@ -742,9 +742,11 @@ TEST(FleetRouterTest, UnreachableBackendFailsOver)
     }
     EXPECT_EQ(mergedBytes(results), reference);
 
-    EXPECT_EQ(metrics.counter("fleet.cells.completed").value(),
-              static_cast<double>(cells.size()));
-    EXPECT_GT(metrics.counter("fleet.failovers").value(), 0.0);
+    const auto delta = trace::hot::snapshot().since(before);
+    trace::hot::setEnabled(false);
+    EXPECT_EQ(delta.counter(trace::hot::FleetCells), cells.size());
+    EXPECT_GT(delta.counter(trace::hot::FleetFailovers), 0u);
+    EXPECT_GT(delta.counter(trace::hot::FleetBatchTransportFail), 0u);
     EXPECT_GT(router.registry().snapshot()[2].failures, 0u);
 }
 
@@ -764,10 +766,20 @@ TEST(FleetRouterTest, AllBackendsDeadFailsCellsCleanly)
     options.jobs = 2;
     FleetRouter router(std::move(options));
 
+    trace::hot::setEnabled(true);
+    const auto before = trace::hot::snapshot();
     const auto results = router.runCells(sweepCells(3));
+    const auto delta = trace::hot::snapshot().since(before);
+    trace::hot::setEnabled(false);
     ASSERT_EQ(results.size(), 3u);
     for (const auto &result : results)
         EXPECT_EQ(result.response.status, Status::Error);
+    // Every cell ends either unroutable (no live backend left to
+    // pick) or exhausted (out of retries); none completes.
+    EXPECT_EQ(delta.counter(trace::hot::FleetCellsUnroutable) +
+                  delta.counter(trace::hot::FleetCellsExhausted),
+              3u);
+    EXPECT_EQ(delta.counter(trace::hot::FleetCells), 0u);
 
     report::ResultStore merged;
     std::string error;

@@ -39,6 +39,7 @@
 #include "serve/server.hh"
 #include "serve/socket.hh"
 #include "support/flags.hh"
+#include "trace/hot_metrics.hh"
 
 using namespace capo;
 using namespace capo::serve;
@@ -1001,20 +1002,20 @@ TEST(ServeServerTest, HealthReportsQueueAndCacheStats)
     EXPECT_EQ(healthStat(response, "queue_capacity"), 17.0);
     EXPECT_EQ(healthStat(response, "completed"), 2.0);
     EXPECT_EQ(healthStat(response, "cache_hits"), 1.0);
+    EXPECT_EQ(healthStat(response, "cache_insertions"), 1.0);
+    EXPECT_EQ(healthStat(response, "cache_loaded"), 0.0);
     EXPECT_EQ(healthStat(response, "draining"), 0.0);
 }
 
-TEST(ServeServerTest, HealthCarriesMetricsRegistryScrape)
+TEST(ServeServerTest, HealthCarriesHotTierScrape)
 {
-    trace::MetricsRegistry registry;
-    registry.counter("test.requests").add(4.0);
-    registry.gauge("test.depth").set(7.0);
-    auto &latency = registry.histogram("test.latency_ms");
+    trace::hot::setEnabled(true);
+    const auto before = trace::hot::snapshot();
+    trace::hot::count(trace::hot::FleetProbeOk, 4);
     for (const double sample : {1.0, 2.0, 4.0, 8.0})
-        latency.record(sample);
+        trace::hot::observe(trace::hot::FleetCellAttempts, sample);
 
     ServerOptions options;
-    options.metrics = &registry;
     TestServer harness(options, "health-metrics");
 
     ClientOptions copt;
@@ -1023,41 +1024,41 @@ TEST(ServeServerTest, HealthCarriesMetricsRegistryScrape)
     Response response;
     std::string error;
     ASSERT_TRUE(client.health(response, error)) << error;
+    trace::hot::setEnabled(false);
 
     report::ResultStore store;
     ASSERT_TRUE(decodeStore(response.body, store, error)) << error;
     const auto *table = store.find("metrics");
     ASSERT_NE(table, nullptr);
-    ASSERT_EQ(table->schema().columns().size(), 9u);
+    ASSERT_EQ(table->schema().columns().size(), 8u);
+    // One row per hot counter and per hot histogram, nothing else.
+    EXPECT_EQ(table->rows().size(),
+              trace::hot::kCounterCount + trace::hot::kHistogramCount);
 
-    bool saw_counter = false, saw_gauge = false, saw_histogram = false;
+    const auto &attempts_before =
+        before.histogram(trace::hot::FleetCellAttempts);
+    bool saw_counter = false, saw_histogram = false;
     for (const auto &row : table->rows()) {
         const std::string &name = row[0].asString();
-        if (name == "test.requests") {
+        if (name == "fleet.probe.ok") {
             saw_counter = true;
             EXPECT_EQ(row[1].asString(), "counter");
-            EXPECT_DOUBLE_EQ(row[3].asDouble(), 4.0);
-        } else if (name == "test.depth") {
-            saw_gauge = true;
-            EXPECT_EQ(row[1].asString(), "gauge");
-            EXPECT_DOUBLE_EQ(row[3].asDouble(), 7.0);
-        } else if (name == "test.latency_ms") {
+            EXPECT_DOUBLE_EQ(
+                row[3].asDouble() -
+                    static_cast<double>(
+                        before.counter(trace::hot::FleetProbeOk)),
+                4.0);
+        } else if (name == "fleet.cell.attempts") {
             saw_histogram = true;
             EXPECT_EQ(row[1].asString(), "histogram");
-            EXPECT_EQ(row[2].asUint(), 4u);       // count
-            EXPECT_DOUBLE_EQ(row[4].asDouble(), 3.75);  // mean
-            EXPECT_GT(row[7].asDouble(), 0.0);    // p99
+            EXPECT_EQ(row[2].asUint() - attempts_before.count, 4u);
+            EXPECT_DOUBLE_EQ(row[3].asDouble() - attempts_before.sum,
+                             15.0);  // sum
+            EXPECT_GT(row[7].asDouble(), 0.0);  // p99
         }
     }
     EXPECT_TRUE(saw_counter);
-    EXPECT_TRUE(saw_gauge);
     EXPECT_TRUE(saw_histogram);
-
-    // The health scrape also folds in the hot tier: serve bumps its
-    // request counters through the registry, and the mirror adds the
-    // fixed hot metric names on demand — nothing should throw when a
-    // second scrape races more recording.
-    ASSERT_TRUE(client.health(response, error)) << error;
 }
 
 TEST(ServeServerTest, ShutdownDrainsGracefully)

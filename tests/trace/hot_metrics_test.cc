@@ -3,7 +3,7 @@
  * Hot-tier metrics tests: lock-free recording correctness under
  * concurrency (count/sum conservation across 8 threads — the TSan
  * target), quantile agreement with the general log-bucketed
- * Histogram, snapshot windowing, gating, and registry mirroring.
+ * Histogram, snapshot windowing and gating.
  */
 
 #include <gtest/gtest.h>
@@ -176,31 +176,6 @@ TEST_F(HotMetricsTest, NamesAreDotted)
     ASSERT_EQ(snap.histograms.size(), trace::hot::kHistogramCount);
     EXPECT_STREQ(snap.histogram(trace::hot::AllocStallNs).name,
                  "runtime.alloc.stall_ns");
-}
-
-TEST_F(HotMetricsTest, MirrorIntoRegistryIsIncremental)
-{
-    trace::MetricsRegistry registry;
-    trace::hot::count(trace::hot::SimEvents, 10);
-    trace::hot::observe(trace::hot::TimerQueueDepth, 8.0);
-    trace::hot::mirrorInto(registry);
-    EXPECT_DOUBLE_EQ(registry.counter("sim.engine.events").value(),
-                     10.0);
-    EXPECT_EQ(registry.histogram("sim.timer.queue_depth").count(), 1u);
-
-    // A second mirror after more recording adds only the delta.
-    trace::hot::count(trace::hot::SimEvents, 5);
-    trace::hot::observe(trace::hot::TimerQueueDepth, 8.0);
-    trace::hot::mirrorInto(registry);
-    EXPECT_DOUBLE_EQ(registry.counter("sim.engine.events").value(),
-                     15.0);
-    EXPECT_EQ(registry.histogram("sim.timer.queue_depth").count(), 2u);
-
-    // Mirroring with nothing new is a no-op.
-    trace::hot::mirrorInto(registry);
-    EXPECT_DOUBLE_EQ(registry.counter("sim.engine.events").value(),
-                     15.0);
-    EXPECT_EQ(registry.histogram("sim.timer.queue_depth").count(), 2u);
 }
 
 TEST_F(HotMetricsTest, QuantileEdgeCases)

@@ -144,16 +144,15 @@ TEST(TraceSinkTest, ParseCategoriesSpecs)
 // ---------------------------------------------------------------------
 // MetricsRegistry.
 
-TEST(MetricsRegistryTest, CountersGaugesAndLookup)
+TEST(MetricsRegistryTest, HistogramLookupAndOrder)
 {
     MetricsRegistry registry;
-    registry.counter("allocs").add(3.0);
-    registry.counter("allocs").increment();
-    registry.gauge("occupancy").set(0.5);
+    registry.histogram("allocs").record(3.0);
+    registry.histogram("occupancy").record(0.5);
+    registry.histogram("allocs").record(1.0);
 
-    EXPECT_DOUBLE_EQ(registry.counter("allocs").value(), 4.0);
-    EXPECT_DOUBLE_EQ(registry.gauge("occupancy").value(), 0.5);
-    EXPECT_TRUE(registry.gauge("occupancy").everSet());
+    EXPECT_EQ(registry.histogram("allocs").count(), 2u);
+    EXPECT_DOUBLE_EQ(registry.histogram("occupancy").last(), 0.5);
     EXPECT_TRUE(registry.contains("allocs"));
     EXPECT_FALSE(registry.contains("missing"));
     EXPECT_EQ(registry.size(), 2u);
