@@ -145,6 +145,53 @@ TEST(TableTest, RowsRoundTripThroughRecords)
     EXPECT_EQ(rebuilt.rowCount(), table.rowCount());
 }
 
+TEST(TableTest, RenderAsciiLaysOutExactBytes)
+{
+    // Pre-formatted string cells: identifiers left, numeric
+    // presentation text and placeholders right, a blank row as the
+    // group gap.
+    ResultTable text(Schema{{"collector", Type::String},
+                            {"mode", Type::String},
+                            {"p99", Type::String},
+                            {"ratio", Type::String}});
+    const auto row = [&](const char *a, const char *b, const char *c,
+                         const char *d) {
+        text.addRow({Value::str(a), Value::str(b), Value::str(c),
+                     Value::str(d)});
+    };
+    row("G1", "static", "12.345", "(3/22)");
+    row("", "", "", "");
+    row("Shen.", "adaptive", "-", "6.00x");
+    row("longer-name", "x", "1.5", "-");
+    std::ostringstream out;
+    EXPECT_EQ(text.renderAscii(out), 4u);
+    EXPECT_EQ(out.str(),
+              "collector    mode         p99   ratio\n"
+              "-------------------------------------\n"
+              "G1           static    12.345  (3/22)\n"
+              "\n"
+              "Shen.        adaptive       -   6.00x\n"
+              "longer-name  x            1.5       -\n");
+
+    // Typed columns: numbers right whatever their width; the last
+    // column is left-aligned, so short cells leave no trailing space.
+    ResultTable typed(Schema{{"name", Type::String},
+                             {"value", Type::Int},
+                             {"share", Type::Double},
+                             {"note", Type::String}});
+    typed.addRow({Value::str("x"), Value::integer(1), Value::dbl(0.5),
+                  Value::str("a")});
+    typed.addRow({Value::str("longer"), Value::integer(23),
+                  Value::dbl(0.25), Value::str("wide note")});
+    out.str("");
+    EXPECT_EQ(typed.renderAscii(out), 2u);
+    EXPECT_EQ(out.str(),
+              "name    value  share  note\n"
+              "-------------------------------\n"
+              "x           1    0.5  a\n"
+              "longer     23   0.25  wide note\n");
+}
+
 TEST(TableTest, StoreGetOrCreateKeepsInsertionOrder)
 {
     ResultStore store;
