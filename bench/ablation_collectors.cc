@@ -48,7 +48,7 @@ runVariant(const workloads::Descriptor &workload, double factor,
 }
 
 void
-report(bench::AsciiTable &table, report::ResultTable &rows,
+report(report::AsciiTable &table, report::ResultTable &rows,
        const std::string &workload, const std::string &label,
        const runtime::ExecutionResult &result)
 {
@@ -97,9 +97,9 @@ runAblation(report::ExperimentContext &context)
                        {"stalls", report::Type::Uint},
                        {"stall_wall_ms", report::Type::Double}});
 
-    bench::AsciiTable table({"workload", "variant", "timed wall (s)",
-                             "timed cpu (s)", "stw (ms)", "stalls",
-                             "stall wall (ms)"});
+    report::AsciiTable table({"workload", "variant", "timed wall (s)",
+                              "timed cpu (s)", "stw (ms)", "stalls",
+                              "stall wall (ms)"});
 
     // 1. Shenandoah pacing on/off on the suite's fastest allocator.
     {

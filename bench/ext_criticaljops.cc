@@ -48,8 +48,8 @@ runExtCriticalJops(report::ExperimentContext &context)
                        {"critical_jops", report::Type::Double},
                        {"p99_at_critical_ms", report::Type::Double}});
 
-    bench::AsciiTable table({"collector", "max jOPS (tested)",
-                             "critical-jOPS", "p99 @ critical (ms)"});
+    report::AsciiTable table({"collector", "max jOPS (tested)",
+                              "critical-jOPS", "p99 @ critical (ms)"});
 
     for (auto algorithm : gc::productionCollectors()) {
         const auto set = runner.run(workload, algorithm,

@@ -43,7 +43,7 @@ runExtFootprint(report::ExperimentContext &context)
         header.push_back(std::string(gc::algorithmName(algorithm)) +
                          " avg MB");
     }
-    bench::AsciiTable table(header);
+    report::AsciiTable table(header);
 
     for (const auto &name : selection) {
         const auto &workload = workloads::byName(name);

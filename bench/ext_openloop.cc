@@ -76,62 +76,11 @@ runExtOpenLoop(report::ExperimentContext &context)
             context.flags.getString("arrival"), &sweep.arrival.kind))
         support::fatal("unknown arrival (poisson|onoff|diurnal)");
 
-    auto &out = context.store.table(
-        "openloop",
-        report::Schema{{"workload", report::Type::String},
-                       {"collector", report::Type::String},
-                       {"mode", report::Type::String},
-                       {"load", report::Type::Double},
-                       {"completed", report::Type::Bool},
-                       {"arrival_p50_ms", report::Type::Double},
-                       {"arrival_p99_ms", report::Type::Double},
-                       {"arrival_p999_ms", report::Type::Double},
-                       {"service_p50_ms", report::Type::Double},
-                       {"service_p99_ms", report::Type::Double},
-                       {"service_p999_ms", report::Type::Double},
-                       {"goodput_rps", report::Type::Double},
-                       {"utility", report::Type::Double},
-                       {"mean_pace", report::Type::Double},
-                       {"shed", report::Type::Double}});
-
     const auto result =
         harness::runOpenLoopSweep({workload.name}, sweep);
-
-    bench::AsciiTable table({"collector", "mode", "load", "p50(arr)",
-                             "p99(arr)", "p99(srv)", "goodput",
-                             "utility", "pace"});
-    for (const auto &cell : result.cells) {
-        if (cell.ok) {
-            table.row({cell.collector, cell.mode,
-                       support::fixed(cell.load_factor, 2),
-                       support::fixed(cell.arrival_p50_ns / 1e6, 3),
-                       support::fixed(cell.arrival_p99_ns / 1e6, 3),
-                       support::fixed(cell.service_p99_ns / 1e6, 3),
-                       support::fixed(cell.goodput_rps, 1),
-                       support::fixed(cell.utility, 2),
-                       support::fixed(cell.mean_pace, 2)});
-        } else {
-            table.row({cell.collector, cell.mode,
-                       support::fixed(cell.load_factor, 2), "DNF", "-",
-                       "-", "-", "-", "-"});
-        }
-        out.addRow({report::Value::str(cell.workload),
-                    report::Value::str(cell.collector),
-                    report::Value::str(cell.mode),
-                    report::Value::dbl(cell.load_factor),
-                    report::Value::boolean(cell.ok),
-                    report::Value::dbl(cell.arrival_p50_ns / 1e6),
-                    report::Value::dbl(cell.arrival_p99_ns / 1e6),
-                    report::Value::dbl(cell.arrival_p999_ns / 1e6),
-                    report::Value::dbl(cell.service_p50_ns / 1e6),
-                    report::Value::dbl(cell.service_p99_ns / 1e6),
-                    report::Value::dbl(cell.service_p999_ns / 1e6),
-                    report::Value::dbl(cell.goodput_rps),
-                    report::Value::dbl(cell.utility),
-                    report::Value::dbl(cell.mean_pace),
-                    report::Value::dbl(cell.shed)});
-    }
-    table.render(std::cout);
+    auto table = harness::openLoopTable(result);
+    context.store.table("openloop", table.schema()) = std::move(table);
+    harness::openLoopSummary(result, workload.name).render(std::cout);
 
     std::cout <<
         "\np99(arr) stamps latency from each request's arrival, so the\n"

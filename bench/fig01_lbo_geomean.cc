@@ -65,7 +65,7 @@ runFig01(report::ExperimentContext &context)
         std::vector<std::string> header = {"collector", "year"};
         for (double f : sweep.factors)
             header.push_back(support::fixed(f, 2) + "x");
-        bench::AsciiTable table(header);
+        report::AsciiTable table(header);
 
         for (auto algorithm : sweep.collectors) {
             const std::string name = gc::algorithmName(algorithm);

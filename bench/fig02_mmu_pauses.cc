@@ -19,7 +19,7 @@ using namespace capo;
 namespace {
 
 void
-mmuRow(bench::AsciiTable &table, report::ResultTable &rows,
+mmuRow(report::AsciiTable &table, report::ResultTable &rows,
        const std::string &label, const metrics::Mmu &mmu,
        const std::vector<double> &windows_ms)
 {
@@ -51,7 +51,7 @@ runFig02(report::ExperimentContext &context)
     std::vector<std::string> header = {"scenario", "max pause (ms)"};
     for (double w : windows_ms)
         header.push_back("MMU@" + support::fixed(w, 0) + "ms");
-    bench::AsciiTable table(header);
+    report::AsciiTable table(header);
 
     // Synthetic: one 100 ms pause over a 1 s run.
     metrics::Mmu one({{450e6, 550e6}}, 0.0, 1e9);

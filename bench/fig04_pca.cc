@@ -46,7 +46,7 @@ runFig04(report::ExperimentContext &context)
                        {"pc3", report::Type::Double},
                        {"pc4", report::Type::Double}});
 
-    bench::AsciiTable scatter({"workload", "PC1", "PC2", "PC3", "PC4"});
+    report::AsciiTable scatter({"workload", "PC1", "PC2", "PC3", "PC4"});
     for (std::size_t w = 0; w < pca.workloads.size(); ++w) {
         std::vector<std::string> row = {pca.workloads[w]};
         for (int c = 0; c < 4; ++c)

@@ -31,7 +31,7 @@ printCurves(const harness::WorkloadLbo &result,
             header.push_back(support::fixed(f, 1) + "x (" +
                              support::fixed(f * gmd_mb, 0) + "MB)");
         }
-        bench::AsciiTable table(header);
+        report::AsciiTable table(header);
         for (const auto &collector : result.analysis.collectors()) {
             std::vector<std::string> row = {collector};
             for (double f : factors) {

@@ -40,7 +40,7 @@ runFigAHeapTimeline(report::ExperimentContext &context)
         header.push_back(
             "t" + std::to_string((b + 1) * 100 / buckets) + "%");
     }
-    bench::AsciiTable table(header);
+    report::AsciiTable table(header);
 
     for (const auto &name : selection) {
         const auto &workload = workloads::byName(name);

@@ -45,7 +45,7 @@ runFigALboPerBenchmark(report::ExperimentContext &context)
         std::vector<std::string> header = {"collector", "axis"};
         for (double f : sweep.factors)
             header.push_back(support::fixed(f, 1) + "x");
-        bench::AsciiTable table(header);
+        report::AsciiTable table(header);
 
         for (auto algorithm : sweep.collectors) {
             const std::string collector = gc::algorithmName(algorithm);

@@ -94,7 +94,7 @@ latencyPanel(const std::string &title,
     const auto labels = percentileLabels();
     std::vector<std::string> header = {"percentile"};
     header.insert(header.end(), labels.begin(), labels.end());
-    bench::AsciiTable table(header);
+    report::AsciiTable table(header);
 
     support::AsciiChart chart(64, 14);
     chart.setLogY(true);

@@ -29,8 +29,8 @@ runTab01(report::ExperimentContext &context)
                        {"median", report::Type::Double},
                        {"max", report::Type::Double}});
 
-    bench::AsciiTable table({"Metric", "Grp", "Avail", "Min", "Median",
-                             "Max", "Description"});
+    report::AsciiTable table({"Metric", "Grp", "Avail", "Min", "Median",
+                              "Max", "Description"});
     for (const auto &info : stats::catalog()) {
         const auto range = shipped.range(info.id);
         std::string desc = info.description;

@@ -45,7 +45,7 @@ runTab02(report::ExperimentContext &context)
     std::vector<std::string> header = {"Benchmark"};
     for (auto id : metrics)
         header.push_back(stats::metricCode(id));
-    bench::AsciiTable out(header);
+    report::AsciiTable out(header);
 
     for (const auto &workload : table.workloads()) {
         std::vector<std::string> rank_row = {workload};

@@ -25,8 +25,8 @@ printWorkloadTable(const stats::StatTable &table,
               << (workload.is_new ? " (new in Chopin)" : "") << "\n"
               << workload.summary << "\n\n";
 
-    bench::AsciiTable out({"Metric", "Score", "Value", "Rank", "Min",
-                           "Median", "Max", "Description"});
+    report::AsciiTable out({"Metric", "Score", "Value", "Rank", "Min",
+                            "Median", "Max", "Description"});
     for (const auto &info : stats::catalog()) {
         const auto value = table.get(workload.name, info.id);
         if (!value)

@@ -43,9 +43,9 @@ runTab04(report::ExperimentContext &context)
                        {"pls_pct", report::Type::Double},
                        {"pfs_pct", report::Type::Double}});
 
-    bench::AsciiTable table({"workload", "IPC", "UDC", "ULL", "UDT",
-                             "USB", "USF", "UBS", "PMS%", "PLS%",
-                             "PFS%"});
+    report::AsciiTable table({"workload", "IPC", "UDC", "ULL", "UDT",
+                              "USB", "USF", "UBS", "PMS%", "PLS%",
+                              "PFS%"});
 
     for (const char *name : kFocus) {
         const auto &workload = workloads::byName(name);

@@ -19,47 +19,36 @@ namespace {
 int
 runTabAMinheap(report::ExperimentContext &context)
 {
-    auto options = context.options;
-
-    auto &minheap = context.store.table(
-        "minheap",
-        report::Schema{{"workload", report::Type::String},
-                       {"collector", report::Type::String},
-                       {"converged", report::Type::Bool},
-                       {"min_heap_mb", report::Type::Double}});
-
-    std::vector<std::string> header = {"workload", "GMD (shipped)"};
-    for (auto algorithm : gc::productionCollectors())
-        header.push_back(gc::algorithmName(algorithm));
-    header.push_back("ZGC*/G1");
-    bench::AsciiTable table(header);
-
     std::vector<std::string> selection = context.flags.positionals();
     if (selection.empty())
         selection = workloads::names();
+    const auto collectors = gc::productionCollectors();
 
+    std::cerr << "  minheap grid: " << selection.size() << " x "
+              << collectors.size() << " cells\n";
+    const auto grid = harness::findMinHeapGrid(selection, collectors,
+                                               context.options, 0.02);
+    auto minheap = harness::minHeapTable(grid);
+    context.store.table("minheap", minheap.schema()) = std::move(minheap);
+
+    std::vector<std::string> header = {"workload", "GMD (shipped)"};
+    for (auto algorithm : collectors)
+        header.push_back(gc::algorithmName(algorithm));
+    header.push_back("ZGC*/G1");
+    report::AsciiTable table(header);
     for (const auto &name : selection) {
-        const auto &workload = workloads::byName(name);
-        std::cerr << "  bisecting " << name << "...\n";
         std::vector<std::string> row = {
-            name, support::fixed(workload.gc.gmd_mb, 0) + " MB"};
-        double g1 = 0.0, zgc = 0.0;
-        for (auto algorithm : gc::productionCollectors()) {
-            const auto found =
-                harness::findMinHeapMb(workload, algorithm, options);
-            row.push_back(found.converged
-                              ? support::fixed(found.min_heap_mb, 1)
+            name,
+            support::fixed(workloads::byName(name).gc.gmd_mb, 0) +
+                " MB"};
+        for (auto algorithm : collectors) {
+            const auto *found = grid.at(name, algorithm);
+            row.push_back(found->converged
+                              ? support::fixed(found->min_heap_mb, 1)
                               : "?");
-            minheap.addRow(
-                {report::Value::str(name),
-                 report::Value::str(gc::algorithmName(algorithm)),
-                 report::Value::boolean(found.converged),
-                 report::Value::dbl(found.min_heap_mb)});
-            if (algorithm == gc::Algorithm::G1)
-                g1 = found.min_heap_mb;
-            if (algorithm == gc::Algorithm::Zgc)
-                zgc = found.min_heap_mb;
         }
+        const double g1 = grid.at(name, gc::Algorithm::G1)->min_heap_mb;
+        const double zgc = grid.at(name, gc::Algorithm::Zgc)->min_heap_mb;
         row.push_back(g1 > 0.0 ? support::fixed(zgc / g1, 2) : "-");
         table.row(row);
     }

@@ -60,7 +60,7 @@ runTabB(report::ExperimentContext &context)
         harness::measureWorkloadStats(workload, options, measured);
 
         std::cout << "\n## " << name << "\n";
-        bench::AsciiTable table(
+        report::AsciiTable table(
             {"metric", "shipped", "measured", "ratio"});
         for (auto id : kCompared) {
             const auto ship = shipped.get(name, id);

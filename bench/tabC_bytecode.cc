@@ -38,7 +38,7 @@ runTabC(report::ExperimentContext &context)
                        {"measured", report::Type::Double},
                        {"have_shipped", report::Type::Bool}});
 
-    bench::AsciiTable table(
+    report::AsciiTable table(
         {"workload", "stat", "shipped", "measured", "ratio"});
 
     for (const auto &name : selection) {

@@ -14,9 +14,9 @@
 #include "harness/lbo_experiment.hh"
 #include "harness/minheap.hh"
 #include "metrics/request_synth.hh"
+#include "report/table.hh"
 #include "support/flags.hh"
 #include "support/strfmt.hh"
-#include "support/table.hh"
 #include "workloads/plans.hh"
 
 using namespace capo;
@@ -97,14 +97,10 @@ main(int argc, char **argv)
     const auto lbo = harness::runLboSweep(workload, sweep);
 
     std::cout << "\nLBO overheads (wall / task clock):\n";
-    support::TextTable table;
     std::vector<std::string> header = {"collector"};
     for (double f : sweep.factors)
         header.push_back(support::fixed(f, 1) + "x");
-    std::vector<support::TextTable::Align> aligns(
-        header.size(), support::TextTable::Align::Right);
-    aligns[0] = support::TextTable::Align::Left;
-    table.columns(header, aligns);
+    report::AsciiTable table(header);
     for (auto algorithm : sweep.collectors) {
         const std::string name = gc::algorithmName(algorithm);
         std::vector<std::string> row = {name};

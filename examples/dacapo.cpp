@@ -19,6 +19,7 @@
 #include "fault/fault.hh"
 #include "harness/runner.hh"
 #include "metrics/export.hh"
+#include "report/table.hh"
 #include "runtime/gc_log.hh"
 #include "trace/chrome_export.hh"
 #include "trace/metrics_registry.hh"
@@ -28,7 +29,6 @@
 #include "support/flags.hh"
 #include "support/logging.hh"
 #include "support/strfmt.hh"
-#include "support/table.hh"
 #include "workloads/plans.hh"
 #include "workloads/registry.hh"
 
@@ -41,13 +41,8 @@ printNominalStats(const workloads::Descriptor &workload)
 {
     const auto table = stats::shippedStats();
     std::cout << workload.name << ": " << workload.summary << "\n\n";
-    support::TextTable out;
-    out.columns({"Metric", "Score", "Value", "Rank", "Description"},
-                {support::TextTable::Align::Left,
-                 support::TextTable::Align::Right,
-                 support::TextTable::Align::Right,
-                 support::TextTable::Align::Right,
-                 support::TextTable::Align::Left});
+    report::AsciiTable out(
+        {"Metric", "Score", "Value", "Rank", "Description"});
     for (const auto &info : stats::catalog()) {
         const auto value = table.get(workload.name, info.id);
         if (!value)

@@ -12,9 +12,9 @@
 #include <sstream>
 
 #include "harness/lbo_experiment.hh"
+#include "report/table.hh"
 #include "support/flags.hh"
 #include "support/strfmt.hh"
-#include "support/table.hh"
 #include "workloads/registry.hh"
 
 using namespace capo;
@@ -64,14 +64,10 @@ main(int argc, char **argv)
     for (const char *axis : {"wall clock", "task clock"}) {
         const bool wall = std::string(axis) == "wall clock";
         std::cout << "\n" << axis << " overhead (LBO):\n";
-        support::TextTable table;
         std::vector<std::string> header = {"collector"};
         for (double f : sweep.factors)
             header.push_back(support::fixed(f, 2) + "x");
-        std::vector<support::TextTable::Align> aligns(
-            header.size(), support::TextTable::Align::Right);
-        aligns[0] = support::TextTable::Align::Left;
-        table.columns(header, aligns);
+        report::AsciiTable table(header);
         for (auto algorithm : sweep.collectors) {
             const std::string name = gc::algorithmName(algorithm);
             std::vector<std::string> row = {name};

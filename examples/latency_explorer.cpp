@@ -14,10 +14,10 @@
 #include "metrics/latency.hh"
 #include "metrics/mmu.hh"
 #include "metrics/request_synth.hh"
+#include "report/table.hh"
 #include "support/flags.hh"
 #include "support/logging.hh"
 #include "support/strfmt.hh"
-#include "support/table.hh"
 #include "workloads/registry.hh"
 
 using namespace capo;
@@ -85,17 +85,11 @@ main(int argc, char **argv)
 
     std::cout << "\nRequest latency over " << requests.size()
               << " requests [ms]:\n";
-    support::TextTable table;
-    table.columns({"percentile", "simple",
-                   "metered(" +
-                       support::fixed(flags.getDouble("smoothing-ms"),
-                                      0) +
-                       "ms)",
-                   "metered(full)"},
-                  {support::TextTable::Align::Left,
-                   support::TextTable::Align::Right,
-                   support::TextTable::Align::Right,
-                   support::TextTable::Align::Right});
+    report::AsciiTable table(
+        {"percentile", "simple",
+         "metered(" +
+             support::fixed(flags.getDouble("smoothing-ms"), 0) + "ms)",
+         "metered(full)"});
     const auto simple = metrics::percentileCurve(
         requests.simpleLatencies());
     const auto metered =

@@ -33,9 +33,9 @@
 #include "metrics/export.hh"
 #include "report/artifact.hh"
 #include "report/codec.hh"
+#include "report/table.hh"
 #include "support/flags.hh"
 #include "support/strfmt.hh"
-#include "support/table.hh"
 #include "trace/chrome_export.hh"
 #include "trace/metrics_registry.hh"
 #include "trace/sink.hh"
@@ -92,15 +92,8 @@ reportErrors(const std::vector<harness::CellError> &errors)
         return;
     std::cout << "\n## quarantined cells (" << errors.size()
               << " failed invocation(s))\n";
-    support::TextTable table;
-    table.columns({"workload", "collector", "heap", "invocation",
-                   "attempts", "kind"},
-                  {support::TextTable::Align::Left,
-                   support::TextTable::Align::Left,
-                   support::TextTable::Align::Right,
-                   support::TextTable::Align::Right,
-                   support::TextTable::Align::Right,
-                   support::TextTable::Align::Left});
+    report::AsciiTable table({"workload", "collector", "heap",
+                              "invocation", "attempts", "kind"});
     for (const auto &e : errors) {
         const std::string heap =
             e.heap_factor > 0.0
@@ -136,14 +129,10 @@ runLbo(const harness::ExperimentPlan &plan, bool want_csv,
                       result.errors.end());
 
         std::cout << "\n## " << name << " (wall / cpu LBO)\n";
-        support::TextTable table;
         std::vector<std::string> header = {"collector"};
         for (double f : sweep.factors)
             header.push_back(support::fixed(f, 2) + "x");
-        std::vector<support::TextTable::Align> aligns(
-            header.size(), support::TextTable::Align::Right);
-        aligns[0] = support::TextTable::Align::Left;
-        table.columns(header, aligns);
+        report::AsciiTable table(header);
         for (auto algorithm : sweep.collectors) {
             const std::string collector = gc::algorithmName(algorithm);
             std::vector<std::string> row = {collector};
@@ -198,16 +187,9 @@ runLatency(const harness::ExperimentPlan &plan, bool want_csv,
         for (double factor : plan.heap_factors) {
             std::cout << "\n## " << name << " at "
                       << support::fixed(factor, 1) << "x [ms]\n";
-            support::TextTable table;
-            table.columns({"collector", "p50", "p99", "p99(arr)",
-                           "p99.9", "p50(met)", "p99.9(met)"},
-                          {support::TextTable::Align::Left,
-                           support::TextTable::Align::Right,
-                           support::TextTable::Align::Right,
-                           support::TextTable::Align::Right,
-                           support::TextTable::Align::Right,
-                           support::TextTable::Align::Right,
-                           support::TextTable::Align::Right});
+            report::AsciiTable table({"collector", "p50", "p99",
+                                      "p99(arr)", "p99.9", "p50(met)",
+                                      "p99.9(met)"});
             for (std::size_t c = 0; c < plan.collectors.size();
                  ++c, ++index) {
                 const auto &cell = result.cells[index];
@@ -265,87 +247,15 @@ runOpenLoop(const harness::ExperimentPlan &plan, bool want_csv,
                   << " cell(s) from checkpoint\n";
     }
 
-    std::string csv_rows =
-        "workload,collector,mode,load_factor,ok,arrival_p50_ms,"
-        "arrival_p99_ms,arrival_p999_ms,service_p50_ms,service_p99_ms,"
-        "service_p999_ms,goodput_rps,utility,shed,mean_pace\n";
-    std::size_t index = 0;
     for (const auto &name : plan.workloads) {
         std::cout << "\n## " << name << " open-loop ("
                   << load::arrivalKindName(plan.arrival.kind)
                   << " arrivals) [ms]\n";
-        support::TextTable table;
-        table.columns({"collector", "mode", "load", "p50(arr)",
-                       "p99(arr)", "p99(srv)", "goodput", "utility",
-                       "pace"},
-                      {support::TextTable::Align::Left,
-                       support::TextTable::Align::Left,
-                       support::TextTable::Align::Right,
-                       support::TextTable::Align::Right,
-                       support::TextTable::Align::Right,
-                       support::TextTable::Align::Right,
-                       support::TextTable::Align::Right,
-                       support::TextTable::Align::Right,
-                       support::TextTable::Align::Right});
-        for (std::size_t c = 0; c < plan.collectors.size(); ++c) {
-            for (const auto &mode : plan.pacing_modes) {
-                for (double factor : plan.load_factors) {
-                    const auto &cell = result.cells[index++];
-                    if (!cell.ok) {
-                        table.row({cell.collector, cell.mode,
-                                   support::fixed(factor, 2), "DNF",
-                                   "-", "-", "-", "-", "-"});
-                    } else {
-                        table.row(
-                            {cell.collector, cell.mode,
-                             support::fixed(factor, 2),
-                             support::fixed(cell.arrival_p50_ns / 1e6,
-                                            3),
-                             support::fixed(cell.arrival_p99_ns / 1e6,
-                                            3),
-                             support::fixed(cell.service_p99_ns / 1e6,
-                                            3),
-                             support::fixed(cell.goodput_rps, 1),
-                             support::fixed(cell.utility, 2),
-                             support::fixed(cell.mean_pace, 2)});
-                    }
-                    csv_rows += cell.workload + "," + cell.collector +
-                                "," + cell.mode + "," +
-                                support::fixed(cell.load_factor, 3) +
-                                "," + (cell.ok ? "1" : "0") + "," +
-                                support::fixed(
-                                    cell.arrival_p50_ns / 1e6, 4) +
-                                "," +
-                                support::fixed(
-                                    cell.arrival_p99_ns / 1e6, 4) +
-                                "," +
-                                support::fixed(
-                                    cell.arrival_p999_ns / 1e6, 4) +
-                                "," +
-                                support::fixed(
-                                    cell.service_p50_ns / 1e6, 4) +
-                                "," +
-                                support::fixed(
-                                    cell.service_p99_ns / 1e6, 4) +
-                                "," +
-                                support::fixed(
-                                    cell.service_p999_ns / 1e6, 4) +
-                                "," +
-                                support::fixed(cell.goodput_rps, 2) +
-                                "," + support::fixed(cell.utility, 4) +
-                                "," + support::fixed(cell.shed, 0) +
-                                "," +
-                                support::fixed(cell.mean_pace, 4) +
-                                "\n";
-                }
-            }
-        }
-        table.render(std::cout);
+        harness::openLoopSummary(result, name).render(std::cout);
     }
-
     if (want_csv) {
-        sink.write("openloop.csv",
-                   [&](std::ostream &out) { out << csv_rows; });
+        sink.writeTable("openloop.csv", harness::openLoopTable(result),
+                        report::Format::Csv);
     }
 }
 
@@ -354,39 +264,27 @@ runMinHeap(const harness::ExperimentPlan &plan, bool want_csv,
            report::ArtifactSink &sink,
            harness::CheckpointJournal *journal)
 {
-    support::TextTable table;
-    std::vector<std::string> header = {"workload"};
-    for (auto algorithm : plan.collectors)
-        header.push_back(gc::algorithmName(algorithm));
-    std::vector<support::TextTable::Align> aligns(
-        header.size(), support::TextTable::Align::Right);
-    aligns[0] = support::TextTable::Align::Left;
-    table.columns(header, aligns);
-
     std::cerr << "  minheap grid: " << plan.workloads.size() << " x "
               << plan.collectors.size() << " cells\n";
     const auto grid = harness::findMinHeapGrid(
         plan.workloads, plan.collectors, plan.options, 0.02, journal);
 
-    std::string csv_rows = "workload,collector,min_heap_mb\n";
+    std::vector<std::string> header = {"workload"};
+    for (auto algorithm : plan.collectors)
+        header.push_back(gc::algorithmName(algorithm));
+    report::AsciiTable table(header);
     for (const auto &name : plan.workloads) {
         std::vector<std::string> row = {name};
-        for (auto algorithm : plan.collectors) {
-            const auto *found = grid.at(name, algorithm);
-            row.push_back(support::fixed(found->min_heap_mb, 1));
-            csv_rows += name;
-            csv_rows += ",";
-            csv_rows += gc::algorithmName(algorithm);
-            csv_rows += ",";
-            csv_rows += support::fixed(found->min_heap_mb, 2) + "\n";
-        }
+        for (auto algorithm : plan.collectors)
+            row.push_back(
+                support::fixed(grid.at(name, algorithm)->min_heap_mb, 1));
         table.row(row);
     }
     table.render(std::cout);
 
     if (want_csv) {
-        sink.write("minheap.csv",
-                   [&](std::ostream &out) { out << csv_rows; });
+        sink.writeTable("minheap.csv", harness::minHeapTable(grid),
+                        report::Format::Csv);
     }
 }
 

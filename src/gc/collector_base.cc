@@ -35,7 +35,11 @@ CollectorBase::shutdown()
 {
     shutdown_requested_ = true;
     engine().notifyAll(wake_cond_);
-    // Cell end for the collector: land the batched pause telemetry.
+}
+
+void
+CollectorBase::flushHotStats()
+{
     pause_.flushHotStats();
 }
 

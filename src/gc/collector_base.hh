@@ -34,6 +34,7 @@ class CollectorBase : public runtime::CollectorRuntime
 
     void attach(const runtime::CollectorContext &context) override;
     void shutdown() override;
+    void flushHotStats() override;
 
     const GcTuning &tuning() const { return tuning_; }
 

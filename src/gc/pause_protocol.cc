@@ -10,10 +10,6 @@ namespace capo::gc {
 void
 PauseProtocol::attach(CollectorBase &owner)
 {
-    // A previous run that hit the time limit never reached shutdown();
-    // its batched samples land here instead of vanishing with the
-    // pooled collector.
-    flushHotStats();
     owner_ = &owner;
     controller_ = sim::kInvalidAgent;
     token_ = 0;

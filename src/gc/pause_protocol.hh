@@ -20,8 +20,8 @@
  *
  * The protocol also owns the pause hot-tier metrics: per-pause wall
  * times accumulate locally (trace::hot::HistogramAccumulator) and land
- * in the shared cells in one batch at collector shutdown or re-attach
- * — the accumulator flush contract of DESIGN.md §14.
+ * in the shared cells in one batch when the execution ends, whatever
+ * stopped it — the accumulator flush contract of DESIGN.md §14.
  *
  * Semantics-neutrality: tests/gc/pause_protocol_test.cc pins the
  * GcEventLog streams produced through this layer byte-identical to the
@@ -51,8 +51,7 @@ class PauseProtocol
   public:
     /**
      * Wire to a (re-)attached collector. Resets every piece of pause
-     * state for pooled reuse and flushes any hot-tier samples a
-     * timed-out previous run left unflushed.
+     * state for pooled reuse.
      */
     void attach(CollectorBase &owner);
 
@@ -92,8 +91,8 @@ class PauseProtocol
      *  records for pause-shaped cycles begin here). */
     sim::Time pauseBegin() const { return pause_begin_; }
 
-    /** Land accumulated pause samples in the hot tier (collector
-     *  shutdown; also called defensively from attach()). */
+    /** Land accumulated pause samples in the hot tier (once per
+     *  execution, via CollectorBase::flushHotStats()). */
     void flushHotStats();
 
   private:

@@ -117,4 +117,21 @@ findMinHeapGrid(const std::vector<std::string> &workload_names,
     return grid;
 }
 
+report::ResultTable
+minHeapTable(const MinHeapGrid &grid)
+{
+    report::ResultTable table(
+        report::Schema{{"workload", report::Type::String},
+                       {"collector", report::Type::String},
+                       {"converged", report::Type::Bool},
+                       {"min_heap_mb", report::Type::Double}});
+    for (const auto &cell : grid.cells) {
+        table.addRow({report::Value::str(cell.workload),
+                      report::Value::str(gc::algorithmName(cell.algorithm)),
+                      report::Value::boolean(cell.result.converged),
+                      report::Value::dbl(cell.result.min_heap_mb)});
+    }
+    return table;
+}
+
 } // namespace capo::harness

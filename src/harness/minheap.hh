@@ -18,6 +18,7 @@
 #include "gc/factory.hh"
 #include "harness/checkpoint.hh"
 #include "harness/runner.hh"
+#include "report/table.hh"
 #include "workloads/descriptor.hh"
 
 namespace capo::harness {
@@ -78,6 +79,10 @@ MinHeapGrid findMinHeapGrid(const std::vector<std::string> &workload_names,
                             const ExperimentOptions &options,
                             double tolerance = 0.02,
                             CheckpointJournal *journal = nullptr);
+
+/** The grid as the "minheap" result table, one row per cell in grid
+ *  order: workload, collector, converged, min_heap_mb. */
+report::ResultTable minHeapTable(const MinHeapGrid &grid);
 
 } // namespace capo::harness
 

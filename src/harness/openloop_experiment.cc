@@ -239,4 +239,69 @@ runOpenLoopSweep(const std::vector<std::string> &workload_names,
     return sweep;
 }
 
+report::ResultTable
+openLoopTable(const OpenLoopSweep &sweep)
+{
+    report::ResultTable table(
+        report::Schema{{"workload", report::Type::String},
+                       {"collector", report::Type::String},
+                       {"mode", report::Type::String},
+                       {"load", report::Type::Double},
+                       {"completed", report::Type::Bool},
+                       {"arrival_p50_ms", report::Type::Double},
+                       {"arrival_p99_ms", report::Type::Double},
+                       {"arrival_p999_ms", report::Type::Double},
+                       {"service_p50_ms", report::Type::Double},
+                       {"service_p99_ms", report::Type::Double},
+                       {"service_p999_ms", report::Type::Double},
+                       {"goodput_rps", report::Type::Double},
+                       {"utility", report::Type::Double},
+                       {"mean_pace", report::Type::Double},
+                       {"shed", report::Type::Double}});
+    for (const auto &cell : sweep.cells) {
+        table.addRow({report::Value::str(cell.workload),
+                      report::Value::str(cell.collector),
+                      report::Value::str(cell.mode),
+                      report::Value::dbl(cell.load_factor),
+                      report::Value::boolean(cell.ok),
+                      report::Value::dbl(cell.arrival_p50_ns / 1e6),
+                      report::Value::dbl(cell.arrival_p99_ns / 1e6),
+                      report::Value::dbl(cell.arrival_p999_ns / 1e6),
+                      report::Value::dbl(cell.service_p50_ns / 1e6),
+                      report::Value::dbl(cell.service_p99_ns / 1e6),
+                      report::Value::dbl(cell.service_p999_ns / 1e6),
+                      report::Value::dbl(cell.goodput_rps),
+                      report::Value::dbl(cell.utility),
+                      report::Value::dbl(cell.mean_pace),
+                      report::Value::dbl(cell.shed)});
+    }
+    return table;
+}
+
+report::AsciiTable
+openLoopSummary(const OpenLoopSweep &sweep, const std::string &workload)
+{
+    report::AsciiTable table({"collector", "mode", "load", "p50(arr)",
+                              "p99(arr)", "p99(srv)", "goodput",
+                              "utility", "pace"});
+    for (const auto &cell : sweep.cells) {
+        if (cell.workload != workload)
+            continue;
+        const std::string load = support::fixed(cell.load_factor, 2);
+        if (!cell.ok) {
+            table.row({cell.collector, cell.mode, load, "DNF", "-", "-",
+                       "-", "-", "-"});
+            continue;
+        }
+        table.row({cell.collector, cell.mode, load,
+                   support::fixed(cell.arrival_p50_ns / 1e6, 3),
+                   support::fixed(cell.arrival_p99_ns / 1e6, 3),
+                   support::fixed(cell.service_p99_ns / 1e6, 3),
+                   support::fixed(cell.goodput_rps, 1),
+                   support::fixed(cell.utility, 2),
+                   support::fixed(cell.mean_pace, 2)});
+    }
+    return table;
+}
+
 } // namespace capo::harness

@@ -35,6 +35,7 @@
 #include "harness/runner.hh"
 #include "load/arrival.hh"
 #include "load/pacer.hh"
+#include "report/table.hh"
 
 namespace capo::harness {
 
@@ -118,6 +119,17 @@ std::string openLoopCellKey(const std::string &workload,
 OpenLoopSweep
 runOpenLoopSweep(const std::vector<std::string> &workload_names,
                  const OpenLoopSweepOptions &options);
+
+/** The sweep as the "openloop" result table, one row per cell in
+ *  sweep order: workload, collector, mode, load, completed, the six
+ *  quantiles (ms), goodput_rps, utility, mean_pace, shed. */
+report::ResultTable openLoopTable(const OpenLoopSweep &sweep);
+
+/** The printed summary of @p workload's cells (collector, mode, load,
+ *  p50/p99 arrival- and p99 service-stamped latency in ms, goodput,
+ *  utility, pace); a cell that did not complete reads DNF. */
+report::AsciiTable openLoopSummary(const OpenLoopSweep &sweep,
+                                   const std::string &workload);
 
 } // namespace capo::harness
 

@@ -1,5 +1,6 @@
 #include "report/table.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
@@ -7,7 +8,7 @@
 #include "report/codec.hh"
 #include "support/csv.hh"
 #include "support/logging.hh"
-#include "support/table.hh"
+#include "support/strfmt.hh"
 
 namespace capo::report {
 
@@ -326,11 +327,14 @@ ResultTable::writeJsonl(std::ostream &out) const
 std::size_t
 ResultTable::renderAscii(std::ostream &out) const
 {
-    // Numeric-presentation text ("1.09", "(3/22)", "6.00x", "-")
-    // right-aligns like the numbers it formats; identifiers and prose
+    // Numeric-presentation text ("1.09", "(3/22)", "6.00x") and the
+    // placeholders that stand in numeric columns ("-", "DNF", "?")
+    // right-align like the numbers they format; identifiers and prose
     // left-align. Lets presentation tables with pre-formatted string
     // cells render like typed numeric columns.
     const auto numeric_like = [](const std::string &cell) {
+        if (cell == "-" || cell == "DNF" || cell == "?")
+            return true;
         bool digit = false;
         for (const char c : cell) {
             if (c >= '0' && c <= '9') {
@@ -341,38 +345,57 @@ ResultTable::renderAscii(std::ostream &out) const
                 std::string_view::npos)
                 return false;
         }
-        return digit || cell == "-";
+        return digit;
     };
 
-    support::TextTable text;
+    const std::size_t ncols = schema_.size();
+    std::vector<std::vector<std::string>> cells;
+    cells.reserve(rows_.size());
+    for (const auto &row : rows_) {
+        std::vector<std::string> line;
+        line.reserve(ncols);
+        for (const auto &value : row)
+            line.push_back(value.display());
+        cells.push_back(std::move(line));
+    }
+
+    std::vector<std::size_t> widths(ncols);
+    std::vector<bool> right(ncols);
     std::vector<std::string> names;
-    std::vector<support::TextTable::Align> aligns;
-    for (std::size_t i = 0; i < schema_.columns().size(); ++i) {
+    names.reserve(ncols);
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < ncols; ++i) {
         const auto &column = schema_.columns()[i];
         names.push_back(column.name);
-        bool right = column.type != Type::String;
-        if (!right && !rows_.empty()) {
-            right = true;
-            for (const auto &row : rows_) {
-                const std::string &cell = row[i].asString();
-                if (!cell.empty() && !numeric_like(cell)) {
-                    right = false;
-                    break;
-                }
-            }
+        widths[i] = column.name.size();
+        right[i] = column.type != Type::String || !rows_.empty();
+        for (const auto &line : cells) {
+            widths[i] = std::max(widths[i], line[i].size());
+            if (column.type == Type::String && !line[i].empty() &&
+                !numeric_like(line[i]))
+                right[i] = false;
         }
-        aligns.push_back(right ? support::TextTable::Align::Right
-                               : support::TextTable::Align::Left);
+        total += widths[i] + (i ? 2 : 0);
     }
-    text.columns(names, aligns);
-    for (const auto &row : rows_) {
-        std::vector<std::string> cells;
-        cells.reserve(row.size());
-        for (const auto &value : row)
-            cells.push_back(value.display());
-        text.row(cells);
-    }
-    text.render(out);
+
+    // Two-space gutters; trailing spaces trimmed so output is
+    // diff-friendly (a blank row prints as an empty group gap).
+    const auto emit = [&](const std::vector<std::string> &line) {
+        std::string text;
+        for (std::size_t i = 0; i < ncols; ++i) {
+            if (i)
+                text += "  ";
+            text += right[i] ? support::padLeft(line[i], widths[i])
+                             : support::padRight(line[i], widths[i]);
+        }
+        while (!text.empty() && text.back() == ' ')
+            text.pop_back();
+        out << text << '\n';
+    };
+    emit(names);
+    out << std::string(total, '-') << '\n';
+    for (const auto &line : cells)
+        emit(line);
     return rows_.size();
 }
 

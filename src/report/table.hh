@@ -11,8 +11,10 @@
  *  - CSV (RFC-4180 quoting via support::CsvWriter; doubles printed
  *    with %.17g so re-parsing is exact),
  *  - JSON-lines (one object per row, for downstream tooling),
- *  - the aligned ASCII tables the bench binaries print (strings left,
- *    numbers right, matching support::TextTable conventions),
+ *  - the aligned ASCII tables every binary prints (identifiers left,
+ *    numbers and numeric-presentation text right) — renderAscii is
+ *    the one ASCII table layout; AsciiTable is its front end for
+ *    tables of pre-formatted string cells,
  *  - exact records (report/codec.hh framing with bit-pattern doubles)
  *    — the same encoding the checkpoint journal uses, which is what
  *    makes "restore a journaled cell" and "decode a table row" the
@@ -30,6 +32,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace capo::report {
@@ -130,8 +133,10 @@ class ResultTable
 
     /** @{ Writers. Each returns the number of data rows emitted.
      *  renderAscii right-aligns numeric columns — including String
-     *  columns whose every cell is numeric-presentation text
-     *  ("1.09", "(3/22)", "-") — and left-aligns identifiers. */
+     *  columns whose every non-empty cell is numeric-presentation
+     *  text ("1.09", "(3/22)") or a placeholder ("-", "DNF", "?") —
+     *  and left-aligns identifiers. Columns are two-space separated
+     *  under a header rule, with trailing spaces trimmed. */
     std::size_t writeCsv(std::ostream &out) const;
     std::size_t writeJsonl(std::ostream &out) const;
     std::size_t renderAscii(std::ostream &out) const;
@@ -154,6 +159,51 @@ class ResultTable
   private:
     Schema schema_;
     std::vector<std::vector<Value>> rows_;
+};
+
+/**
+ * A presentation table of pre-formatted string cells, rendered
+ * through ResultTable::renderAscii (so a column of numbers or
+ * placeholders right-aligns by inference, with no per-column
+ * alignment list).
+ */
+class AsciiTable
+{
+  public:
+    explicit AsciiTable(const std::vector<std::string> &headers)
+    {
+        std::vector<Column> columns;
+        columns.reserve(headers.size());
+        for (const auto &header : headers)
+            columns.push_back({header, Type::String});
+        table_ = ResultTable(Schema(std::move(columns)));
+    }
+
+    void
+    row(std::vector<std::string> cells)
+    {
+        std::vector<Value> values;
+        values.reserve(cells.size());
+        for (auto &cell : cells)
+            values.push_back(Value::str(std::move(cell)));
+        table_.addRow(std::move(values));
+    }
+
+    /** Group gap: a blank row (alignment scans skip empty cells). */
+    void
+    separator()
+    {
+        row(std::vector<std::string>(table_.schema().size()));
+    }
+
+    void
+    render(std::ostream &out) const
+    {
+        table_.renderAscii(out);
+    }
+
+  private:
+    ResultTable table_;
 };
 
 /**

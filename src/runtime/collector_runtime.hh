@@ -74,6 +74,11 @@ class CollectorRuntime : public Allocator
 
     /** Ask controller agents to exit (benchmark finished or aborted). */
     virtual void shutdown() = 0;
+
+    /** Land batched hot-tier telemetry. Called once per execution,
+     *  after the engine stops for any reason (a run that hits the
+     *  time limit never reaches shutdown()). */
+    virtual void flushHotStats() {}
 };
 
 } // namespace capo::runtime

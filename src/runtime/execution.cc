@@ -129,6 +129,7 @@ runExecution(const ExecutionConfig &config, const MutatorPlan &plan,
 
     const auto reason =
         engine.run(sim::fromSeconds(config.time_limit_sec));
+    collector.flushHotStats();
 
     ExecutionResult result;
     result.oom = mutator.failedOom();

@@ -162,7 +162,7 @@ TEST(TableTest, RenderAsciiLaysOutExactBytes)
     row("G1", "static", "12.345", "(3/22)");
     row("", "", "", "");
     row("Shen.", "adaptive", "-", "6.00x");
-    row("longer-name", "x", "1.5", "-");
+    row("longer-name", "x", "DNF", "?");
     std::ostringstream out;
     EXPECT_EQ(text.renderAscii(out), 4u);
     EXPECT_EQ(out.str(),
@@ -171,7 +171,7 @@ TEST(TableTest, RenderAsciiLaysOutExactBytes)
               "G1           static    12.345  (3/22)\n"
               "\n"
               "Shen.        adaptive       -   6.00x\n"
-              "longer-name  x            1.5       -\n");
+              "longer-name  x            DNF       ?\n");
 
     // Typed columns: numbers right whatever their width; the last
     // column is left-aligned, so short cells leave no trailing space.

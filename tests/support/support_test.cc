@@ -14,7 +14,6 @@
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/strfmt.hh"
-#include "support/table.hh"
 
 namespace capo::support {
 namespace {
@@ -192,36 +191,6 @@ TEST(CsvTest, EscapesQuotesAndNewlines)
     csv.cell(std::string("say \"hi\"\nok"));
     csv.endRow();
     EXPECT_EQ(os.str(), "v\n\"say \"\"hi\"\"\nok\"\n");
-}
-
-TEST(TableTest, AlignsColumns)
-{
-    TextTable table;
-    table.columns({"name", "value"},
-                  {TextTable::Align::Left, TextTable::Align::Right});
-    table.row({"x", "1"});
-    table.row({"longer", "23"});
-    const std::string out = table.str();
-    EXPECT_NE(out.find("name    value"), std::string::npos);
-    EXPECT_NE(out.find("x           1"), std::string::npos);
-    EXPECT_NE(out.find("longer     23"), std::string::npos);
-}
-
-TEST(TableTest, SeparatorRendersRule)
-{
-    TextTable table;
-    table.columns({"a"});
-    table.row({"1"});
-    table.separator();
-    table.row({"2"});
-    const std::string out = table.str();
-    // Header rule + explicit separator.
-    std::size_t count = 0, pos = 0;
-    while ((pos = out.find('-', pos)) != std::string::npos) {
-        ++count;
-        ++pos;
-    }
-    EXPECT_GE(count, 2u);
 }
 
 TEST(FlagsTest, ParsesAllForms)
