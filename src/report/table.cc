@@ -348,31 +348,27 @@ ResultTable::renderAscii(std::ostream &out) const
         return digit;
     };
 
+    // Line 0 is the header: it counts toward widths, not alignment.
     const std::size_t ncols = schema_.size();
-    std::vector<std::vector<std::string>> cells;
-    cells.reserve(rows_.size());
+    std::vector<std::vector<std::string>> lines(1);
+    for (const auto &column : schema_.columns())
+        lines[0].push_back(column.name);
     for (const auto &row : rows_) {
-        std::vector<std::string> line;
-        line.reserve(ncols);
+        auto &line = lines.emplace_back();
         for (const auto &value : row)
             line.push_back(value.display());
-        cells.push_back(std::move(line));
     }
 
     std::vector<std::size_t> widths(ncols);
     std::vector<bool> right(ncols);
-    std::vector<std::string> names;
-    names.reserve(ncols);
     std::size_t total = 0;
     for (std::size_t i = 0; i < ncols; ++i) {
-        const auto &column = schema_.columns()[i];
-        names.push_back(column.name);
-        widths[i] = column.name.size();
-        right[i] = column.type != Type::String || !rows_.empty();
-        for (const auto &line : cells) {
-            widths[i] = std::max(widths[i], line[i].size());
-            if (column.type == Type::String && !line[i].empty() &&
-                !numeric_like(line[i]))
+        const bool is_string = schema_.columns()[i].type == Type::String;
+        right[i] = !is_string || !rows_.empty();
+        for (std::size_t r = 0; r < lines.size(); ++r) {
+            const std::string &cell = lines[r][i];
+            widths[i] = std::max(widths[i], cell.size());
+            if (r > 0 && is_string && !cell.empty() && !numeric_like(cell))
                 right[i] = false;
         }
         total += widths[i] + (i ? 2 : 0);
@@ -380,22 +376,20 @@ ResultTable::renderAscii(std::ostream &out) const
 
     // Two-space gutters; trailing spaces trimmed so output is
     // diff-friendly (a blank row prints as an empty group gap).
-    const auto emit = [&](const std::vector<std::string> &line) {
+    for (std::size_t r = 0; r < lines.size(); ++r) {
         std::string text;
         for (std::size_t i = 0; i < ncols; ++i) {
             if (i)
                 text += "  ";
-            text += right[i] ? support::padLeft(line[i], widths[i])
-                             : support::padRight(line[i], widths[i]);
+            text += right[i] ? support::padLeft(lines[r][i], widths[i])
+                             : support::padRight(lines[r][i], widths[i]);
         }
         while (!text.empty() && text.back() == ' ')
             text.pop_back();
         out << text << '\n';
-    };
-    emit(names);
-    out << std::string(total, '-') << '\n';
-    for (const auto &line : cells)
-        emit(line);
+        if (r == 0)
+            out << std::string(total, '-') << '\n';
+    }
     return rows_.size();
 }
 
