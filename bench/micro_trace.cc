@@ -10,7 +10,6 @@
 #include <benchmark/benchmark.h>
 
 #include "trace/hot_metrics.hh"
-#include "trace/metrics_registry.hh"
 #include "trace/sink.hh"
 
 namespace {
@@ -91,20 +90,31 @@ BM_TraceCounter(benchmark::State &state)
 }
 BENCHMARK(BM_TraceCounter);
 
-/** Histogram record: bucket index is a log10 plus a floor. */
+/** One sampler tick: a counter per probe across the sampler's five
+ *  probe names, each also folded into its name's running summary (a
+ *  linear scan over the summaries). */
 void
-BM_HistogramRecord(benchmark::State &state)
+BM_TraceSamplerTick(benchmark::State &state)
 {
-    trace::Histogram histogram;
-    double value = 1.0;
+    trace::TraceSink sink;
+    const auto track = sink.registerTrack("counters");
+    const char *names[] = {
+        sink.internName("heap.occupied_bytes"),
+        sink.internName("heap.live_bytes"),
+        sink.internName("heap.fresh_bytes"),
+        sink.internName("agents.runnable"),
+        sink.internName("gc.cpu_ns"),
+    };
+    double t = 0.0;
     for (auto _ : state) {
-        histogram.record(value);
-        value = value < 1e9 ? value * 1.001 : 1.0;
-        benchmark::DoNotOptimize(histogram.count());
+        for (const char *name : names)
+            sink.counter(track, trace::Category::Metrics, name, t, t);
+        t += 1.0;
+        benchmark::DoNotOptimize(t);
     }
-    state.SetItemsProcessed(state.iterations());
+    state.SetItemsProcessed(state.iterations() * 5);
 }
-BENCHMARK(BM_HistogramRecord);
+BENCHMARK(BM_TraceSamplerTick);
 
 /** Disabled hot-tier observe: one relaxed load and a branch — the
  *  price every hot-path probe pays when nobody is measuring. This is

@@ -18,13 +18,14 @@
 
 #include "fault/fault.hh"
 #include "harness/runner.hh"
-#include "metrics/export.hh"
+#include "metrics/latency.hh"
+#include "metrics/request_synth.hh"
+#include "report/artifact.hh"
 #include "report/table.hh"
 #include "runtime/gc_log.hh"
 #include "trace/chrome_export.hh"
-#include "trace/metrics_registry.hh"
+#include "trace/sampler.hh"
 #include "trace/sink.hh"
-#include "metrics/request_synth.hh"
 #include "stats/stat_table.hh"
 #include "support/flags.hh"
 #include "support/logging.hh"
@@ -135,14 +136,12 @@ main(int argc, char **argv)
     const std::string trace_out = flags.getString("trace-out");
     const std::string metrics_csv = flags.getString("metrics-csv");
     std::unique_ptr<trace::TraceSink> sink;
-    trace::MetricsRegistry registry;
     if (!trace_out.empty() || !metrics_csv.empty()) {
         trace::TraceSink::Options trace_options;
         trace_options.categories =
             trace::parseCategories(flags.getString("trace-categories"));
         sink = std::make_unique<trace::TraceSink>(trace_options);
         options.trace = sink.get();
-        options.metrics = &registry;
         options.metrics_interval_ms =
             flags.getDouble("metrics-interval");
     }
@@ -170,20 +169,28 @@ main(int argc, char **argv)
                          flags.getDouble("heap-factor"));
     const auto &run = set.runs.front();
 
+    // Every file lands through one artifact sink rooted at the
+    // working directory. A lost trace only warns; a lost CSV fails
+    // the run (false here, exit 1 below).
+    report::ArtifactSink artifacts(".");
+
     // Trace and metrics files are written on success *and* failure:
     // a timeline of a failing run is exactly what one debugs with.
     const auto writeObservability = [&] {
         if (sink && !trace_out.empty()) {
-            if (trace::writeChromeTraceFile(*sink, trace_out))
+            if (trace::writeChromeTraceArtifact(*sink, artifacts,
+                                                trace_out))
                 std::cout << "saved trace to " << trace_out << "\n";
         }
         if (!metrics_csv.empty()) {
-            metrics::writeCsvFile(metrics_csv, [&](std::ostream &out) {
-                metrics::exportMetricsCsv(registry, out);
-            });
+            if (!artifacts.writeTable(metrics_csv,
+                                      trace::counterSummaryTable(*sink),
+                                      report::Format::Csv))
+                return false;
             std::cout << "saved metrics summary to " << metrics_csv
                       << "\n";
         }
+        return true;
     };
 
     for (std::size_t i = 0; i < run.iterations.size(); ++i) {
@@ -205,10 +212,9 @@ main(int argc, char **argv)
                       << " attempt(s), kind "
                       << harness::errorKind(run) << " =====\n";
         }
-        writeObservability();
         // A failure under fault injection is the experiment working as
         // designed, not an error of the harness.
-        return options.faults.enabled() ? 0 : 1;
+        return (writeObservability() && options.faults.enabled()) ? 0 : 1;
     }
 
     if (flags.getBool("verbose-gc")) {
@@ -249,13 +255,13 @@ main(int argc, char **argv)
 
         const std::string csv = flags.getString("latency-csv");
         if (!csv.empty()) {
-            metrics::writeCsvFile(csv, [&](std::ostream &out) {
-                metrics::exportLatencyCsv(requests, 100e6, out);
-            });
+            if (!artifacts.writeTable(csv,
+                                      metrics::latencyTable(requests, 100e6),
+                                      report::Format::Csv))
+                return 1;
             std::cout << "saved raw latency data to " << csv << "\n";
         }
     }
 
-    writeObservability();
-    return 0;
+    return writeObservability() ? 0 : 1;
 }

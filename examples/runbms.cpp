@@ -30,14 +30,15 @@
 #include "harness/minheap.hh"
 #include "harness/openloop_experiment.hh"
 #include "harness/plan_file.hh"
-#include "metrics/export.hh"
+#include "metrics/latency.hh"
+#include "metrics/lbo.hh"
 #include "report/artifact.hh"
 #include "report/codec.hh"
 #include "report/table.hh"
 #include "support/flags.hh"
 #include "support/strfmt.hh"
 #include "trace/chrome_export.hh"
-#include "trace/metrics_registry.hh"
+#include "trace/sampler.hh"
 #include "trace/sink.hh"
 #include "workloads/registry.hh"
 
@@ -150,10 +151,9 @@ runLbo(const harness::ExperimentPlan &plan, bool want_csv,
         table.render(std::cout);
 
         if (want_csv) {
-            sink.write("lbo_" + name + ".csv",
-                       [&](std::ostream &out) {
-                           metrics::exportLboCsv(result.analysis, out);
-                       });
+            sink.writeTable("lbo_" + name + ".csv",
+                            metrics::lboTable(result.analysis),
+                            report::Format::Csv);
         }
     }
     reportErrors(errors);
@@ -210,14 +210,12 @@ runLatency(const harness::ExperimentPlan &plan, bool want_csv,
                                           3)});
 
                 if (want_csv && cell.have_raw) {
-                    sink.write(
+                    sink.writeTable(
                         "latency_" + name + "_" + cell.collector +
                             "_" + support::fixed(factor, 1) + "x.csv",
-                        [&](std::ostream &out) {
-                            metrics::exportLatencyCsv(
-                                cell.requests,
-                                sweep.metered_window_ns, out);
-                        });
+                        metrics::latencyTable(cell.requests,
+                                              sweep.metered_window_ns),
+                        report::Format::Csv);
                 }
             }
             table.render(std::cout);
@@ -386,13 +384,11 @@ main(int argc, char **argv)
     }
 
     std::unique_ptr<trace::TraceSink> sink;
-    trace::MetricsRegistry registry;
     if (!plan.trace_out.empty()) {
         trace::TraceSink::Options trace_options;
         trace_options.categories = plan.trace_categories;
         sink = std::make_unique<trace::TraceSink>(trace_options);
         plan.options.trace = sink.get();
-        plan.options.metrics = &registry;
     }
 
     std::cout << "# runbms: " << harness::planKindName(plan.kind)
@@ -440,9 +436,9 @@ main(int argc, char **argv)
                 std::filesystem::absolute(plan.trace_out).string()))
             std::cout << "saved trace to " << plan.trace_out << "\n";
         if (want_csv) {
-            artifacts.write("metrics.csv", [&](std::ostream &out) {
-                metrics::exportMetricsCsv(registry, out);
-            });
+            artifacts.writeTable("metrics.csv",
+                                 trace::counterSummaryTable(*sink),
+                                 report::Format::Csv);
         }
     }
 

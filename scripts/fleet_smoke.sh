@@ -9,7 +9,8 @@
 #     the reference;
 #  3. restart the fleet cold, kill -9 one backend right as a sweep
 #     starts — capo-fleet must still exit 0 and the merged CSVs must
-#     still be byte-identical: failover never changes result bytes;
+#     still be byte-identical: failover never changes result bytes,
+#     and the fleet's stats print a fleet.failovers row;
 #  4. `capo-fleet health` renders a per-backend stats table.
 #
 # This is the real-process proof of what tests/serve/fleet_test.cc
@@ -67,11 +68,11 @@ stop_backends() {
     backend_pids=()
 }
 
-run_sweep() { # backends-spec strategy out-dir
-    "$fleet" --backends "$1" --strategy "$2" --quiet \
+run_sweep() { # backends-spec strategy out-dir (stdout to out-dir.log)
+    "$fleet" --backends "$1" --strategy "$2" \
         --artifacts "$3" \
         run "$experiment" --vary seed=1:12 \
-        -- --invocations 1 --iterations 1
+        -- --invocations 1 --iterations 1 > "$3.log"
 }
 
 echo "== reference: one clean backend"
@@ -129,5 +130,15 @@ if ! diff -r "$work/out_ref" "$work/out_kill" >/dev/null; then
     exit 1
 fi
 echo "   failover run: exit 0, byte-identical"
+# The row must be there; its value may be 0, because the sweep is
+# short enough to finish before the kill lands.
+failovers="$(awk '$1 == "fleet.failovers" { print $2 }' \
+    "$work/out_kill.log")"
+if [[ -z "$failovers" ]]; then
+    echo "fleet_smoke: stats table lacks the fleet.failovers row:" >&2
+    cat "$work/out_kill.log" >&2
+    exit 1
+fi
+echo "   fleet.failovers = $failovers"
 
 echo "OK: strategy-independent, failover-independent result bytes"

@@ -259,7 +259,6 @@ Runner::executeInvocation(const workloads::Descriptor &workload,
     config.trace_rate = options_.trace_rate;
     config.time_limit_sec = options_.time_limit_sec;
     config.trace = shard;
-    config.metrics = options_.metrics;
     config.metrics_interval_ns = options_.metrics_interval_ms * 1e6;
     if (options_.faults.enabled()) {
         config.faults = &options_.faults;

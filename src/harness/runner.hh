@@ -53,7 +53,6 @@ struct ExperimentOptions
      *  starts at t=0, so the runner advances the sink's time base
      *  between invocations to keep one monotonic timeline. */
     trace::TraceSink *trace = nullptr;
-    trace::MetricsRegistry *metrics = nullptr;
     double metrics_interval_ms = 10.0;  ///< Sampling period (sim-ms).
     /** @} */
 

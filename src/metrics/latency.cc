@@ -347,6 +347,30 @@ LatencyRecorder::meteredLatencies(double window_ns) const
     return out;
 }
 
+report::ResultTable
+latencyTable(const LatencyRecorder &recorder, double window_ns)
+{
+    report::ResultTable table(
+        report::Schema{{"intended_ns", report::Type::Double},
+                       {"start_ns", report::Type::Double},
+                       {"end_ns", report::Type::Double},
+                       {"intended_lat_ns", report::Type::Double},
+                       {"simple_ns", report::Type::Double},
+                       {"metered_ns", report::Type::Double}});
+    const auto by_start = recorder.byStart();
+    const auto metered = recorder.meteredLatencies(window_ns);
+    for (std::size_t i = 0; i < by_start.size(); ++i) {
+        const auto &event = by_start[i];
+        table.addRow({report::Value::dbl(event.intended),
+                      report::Value::dbl(event.start),
+                      report::Value::dbl(event.end),
+                      report::Value::dbl(event.intendedLatency()),
+                      report::Value::dbl(event.latency()),
+                      report::Value::dbl(metered[i])});
+    }
+    return table;
+}
+
 const std::vector<double> &
 paperPercentiles()
 {

@@ -33,6 +33,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "report/table.hh"
+
 namespace capo::metrics {
 
 /**
@@ -110,6 +112,15 @@ class LatencyRecorder
   private:
     std::vector<LatencyEvent> events_;
 };
+
+/**
+ * The raw request log as a result table (runbms' latency_*.csv,
+ * dacapo --latency-csv): one row per event in byStart() order,
+ * columns intended_ns, start_ns, end_ns, intended_lat_ns, simple_ns
+ * and metered_ns (metered over @p window_ns; 0 = full smoothing).
+ */
+report::ResultTable latencyTable(const LatencyRecorder &recorder,
+                                 double window_ns);
 
 /**
  * The percentile points the paper plots (x-axis of Figures 3 and 6):

@@ -81,4 +81,24 @@ LboAnalysis::collectors() const
     return order_;
 }
 
+report::ResultTable
+lboTable(const LboAnalysis &analysis)
+{
+    report::ResultTable table(
+        report::Schema{{"collector", report::Type::String},
+                       {"heap_factor", report::Type::Double},
+                       {"wall_overhead", report::Type::Double},
+                       {"cpu_overhead", report::Type::Double}});
+    for (const auto &collector : analysis.collectors()) {
+        for (double factor : analysis.factors(collector)) {
+            const auto o = analysis.overhead(collector, factor);
+            table.addRow({report::Value::str(collector),
+                          report::Value::dbl(factor),
+                          report::Value::dbl(o.wall),
+                          report::Value::dbl(o.cpu)});
+        }
+    }
+    return table;
+}
+
 } // namespace capo::metrics

@@ -22,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "report/table.hh"
+
 namespace capo::metrics {
 
 /** Mean measured costs of one (collector, heap-size) configuration. */
@@ -78,6 +80,14 @@ class LboAnalysis
     std::map<Key, RunCost> costs_;
     std::vector<std::string> order_;
 };
+
+/**
+ * The analysis as a result table (runbms' lbo_<workload>.csv): one
+ * row per configuration, collectors in insertion order and factors
+ * ascending, columns collector, heap_factor, wall_overhead,
+ * cpu_overhead.
+ */
+report::ResultTable lboTable(const LboAnalysis &analysis);
 
 } // namespace capo::metrics
 

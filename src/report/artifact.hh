@@ -3,6 +3,12 @@
  * ArtifactSink: the one choke point through which every result
  * artifact — CSV, JSON-lines, trace exports — reaches disk.
  *
+ * Every CSV capo writes is a ResultTable serialized by writeTable():
+ * the registry runner's store tables, runbms' --csv files, dacapo's
+ * --latency-csv/--metrics-csv and capo-fleet's merged tables. The
+ * Chrome trace goes through write() (trace/chrome_export.hh).
+ * Missing parent directories of a Disk-mode path are created.
+ *
  * Funnelling all artifact I/O through one object buys three things:
  *
  *  1. *Resilience.* A sweep that ran for hours must never die because

@@ -6,7 +6,6 @@
 #include <string_view>
 
 #include "report/codec.hh"
-#include "support/csv.hh"
 #include "support/logging.hh"
 #include "support/strfmt.hh"
 
@@ -75,6 +74,23 @@ jsonEscape(const std::string &text)
         }
     }
     return out;
+}
+
+/** RFC-4180 quoting: a field holding a comma, quote or line break is
+ *  wrapped in quotes, with embedded quotes doubled. */
+std::string
+csvEscape(const std::string &text)
+{
+    if (text.find_first_of(",\"\n\r") == std::string::npos)
+        return text;
+    std::string quoted = "\"";
+    for (char c : text) {
+        if (c == '"')
+            quoted += '"';
+        quoted += c;
+    }
+    quoted += '"';
+    return quoted;
 }
 
 } // namespace
@@ -283,19 +299,16 @@ ResultTable::addRow(std::vector<Value> row)
 std::size_t
 ResultTable::writeCsv(std::ostream &out) const
 {
-    support::CsvWriter csv(out);
-    std::vector<std::string> header;
-    header.reserve(schema_.size());
-    for (const auto &column : schema_.columns())
-        header.push_back(column.name);
-    csv.header(header);
+    const auto &columns = schema_.columns();
+    for (std::size_t c = 0; c < columns.size(); ++c)
+        out << (c > 0 ? "," : "") << csvEscape(columns[c].name);
+    out << '\n';
     for (const auto &row : rows_) {
-        csv.beginRow();
-        for (const auto &value : row)
-            csv.cell(value.display());
-        csv.endRow();
+        for (std::size_t c = 0; c < row.size(); ++c)
+            out << (c > 0 ? "," : "") << csvEscape(row[c].display());
+        out << '\n';
     }
-    return csv.rows();
+    return rows_.size();
 }
 
 std::size_t

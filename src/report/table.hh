@@ -3,13 +3,11 @@
  * Typed result tables: the single path from "an experiment produced a
  * row" to "an artifact on disk".
  *
- * Every reproduction binary, sweep executor and test consumer used to
- * hand-roll its own CSV emission and printf formatting; `ResultTable`
- * replaces that with one typed representation — a `Schema` of named,
- * typed columns and rows of `Value`s — and one set of writers:
+ * One typed representation — a `Schema` of named, typed columns and
+ * rows of `Value`s — and one set of writers:
  *
- *  - CSV (RFC-4180 quoting via support::CsvWriter; doubles printed
- *    with %.17g so re-parsing is exact),
+ *  - CSV (RFC-4180 quoting; doubles printed with %.17g so re-parsing
+ *    is exact) — the only CSV writer in the tree,
  *  - JSON-lines (one object per row, for downstream tooling),
  *  - the aligned ASCII tables every binary prints (identifiers left,
  *    numbers and numeric-presentation text right) — renderAscii is

@@ -18,7 +18,6 @@
 #include "runtime/gc_event_log.hh"
 #include "runtime/mutator.hh"
 #include "sim/engine.hh"
-#include "trace/metrics_registry.hh"
 #include "trace/sink.hh"
 
 namespace capo::runtime {
@@ -64,11 +63,10 @@ struct ExecutionConfig
     /** @{ Observability (all optional; null/zero disables). The sink
      *  receives engine scheduling spans, mutator phases, GC phases and
      *  trigger decisions, and — when @c metrics_interval_ns > 0 —
-     *  periodic counter samples, which also feed @c metrics
-     *  histograms. With sampling enabled the run's wall clock may
-     *  trail the last mutator exit by up to one interval. */
+     *  periodic counter samples, which the sink also summarizes per
+     *  probe. With sampling enabled the run's wall clock may trail
+     *  the last mutator exit by up to one interval. */
     trace::TraceSink *trace = nullptr;
-    trace::MetricsRegistry *metrics = nullptr;
     double metrics_interval_ns = 0.0;
     /** @} */
 

@@ -14,7 +14,10 @@
  * stores, renders them, and — with --artifacts — writes one CSV per
  * merged table. The merged CSVs are byte-identical to a
  * single-backend fault-free run of the same sweep: results never
- * depend on placement, strategy or failover history.
+ * depend on placement, strategy or failover history. The backend
+ * stats table is followed by the router's fleet.* hot-tier counts
+ * (failovers, probe outcomes, transport failures, unroutable and
+ * exhausted cells).
  *
  * Exit codes: 0 all cells Ok, 1 any cell failed or fleet unreachable,
  * 2 usage.
@@ -26,13 +29,39 @@
 
 #include "harness/sweep_spec.hh"
 #include "report/artifact.hh"
+#include "report/table.hh"
 #include "serve/router.hh"
 #include "support/flags.hh"
+#include "trace/hot_metrics.hh"
+
+namespace {
+
+using namespace capo;
+
+/** The backend stats table, then one row per fleet.* hot counter. */
+void
+printStats(serve::FleetRouter &router)
+{
+    router.registry().statsTable().renderAscii(std::cout);
+    const auto hot = trace::hot::snapshot();
+    report::AsciiTable counters({"counter", "value"});
+    for (std::size_t i = 0; i < trace::hot::kCounterCount; ++i) {
+        const auto counter = static_cast<trace::hot::Counter>(i);
+        const std::string name = trace::hot::counterName(counter);
+        if (name.rfind("fleet.", 0) == 0)
+            counters.row({name, std::to_string(hot.counter(counter))});
+    }
+    counters.render(std::cout);
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
-    using namespace capo;
+    // The router records its failovers and probe outcomes in the hot
+    // tier; printStats() reads them back.
+    trace::hot::setEnabled(true);
 
     // Split off "-- experiment args" first, then pull the repeatable
     // --vary declarations out of the head: the fleet's parser takes
@@ -142,7 +171,7 @@ main(int argc, char **argv)
 
     if (command == "health") {
         router.probeAll();
-        router.registry().statsTable().renderAscii(std::cout);
+        printStats(router);
         return 0;
     }
     if (command != "run") {
@@ -186,7 +215,7 @@ main(int argc, char **argv)
                   << backends.size() << " backend(s), strategy "
                   << serve::strategyName(router.options().strategy)
                   << "\n";
-        router.registry().statsTable().renderAscii(std::cout);
+        printStats(router);
     }
 
     if (!merged_ok) {

@@ -136,11 +136,4 @@ writeChromeTraceArtifact(const TraceSink &sink,
     });
 }
 
-bool
-writeChromeTraceFile(const TraceSink &sink, const std::string &path)
-{
-    report::ArtifactSink artifacts(".");
-    return writeChromeTraceArtifact(sink, artifacts, path);
-}
-
 } // namespace capo::trace

@@ -41,12 +41,6 @@ bool writeChromeTraceArtifact(const TraceSink &sink,
                               report::ArtifactSink &artifacts,
                               const std::string &path);
 
-/** Write the trace to @p path through a fresh disk ArtifactSink
- *  rooted at the working directory — same semantics as above for
- *  callers without a sink of their own. Returns false on failure
- *  (warned, never fatal). */
-bool writeChromeTraceFile(const TraceSink &sink, const std::string &path);
-
 } // namespace capo::trace
 
 #endif // CAPO_TRACE_CHROME_EXPORT_HH

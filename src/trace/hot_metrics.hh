@@ -3,16 +3,15 @@
  * Lock-free fixed-bucket metrics for the simulation/execution hot
  * paths.
  *
- * The sampler's MetricsRegistry (trace/metrics_registry.hh) resolves
- * histogram *names* under a mutex and computes a log10 per record —
- * fine for a periodic sampler, far too heavy for code that runs
- * millions of times per second across every pool worker. This module
- * is the process's one tier of fixed-name counts and distributions:
- * the metric set is fixed at compile time (the ClickHouse
- * `CurrentHistogramMetrics` idiom), each metric's bucket bounds are
- * `constexpr`, and all storage is one flat array of relaxed atomics. A record is: one relaxed load of the
- * enable flag, a short constexpr-bounded scan for the bucket, and one
- * `fetch_add` — no mutex, no CAS loop, no allocation, ever.
+ * Code that runs millions of times per second across every pool
+ * worker cannot afford a name lookup or a lock per record. This
+ * module is the process's one tier of fixed-name counts and
+ * distributions: the metric set is fixed at compile time (the
+ * ClickHouse `CurrentHistogramMetrics` idiom), each metric's bucket
+ * bounds are `constexpr`, and all storage is one flat array of
+ * relaxed atomics. A record is: one relaxed load of the enable flag,
+ * a short constexpr-bounded scan for the bucket, and one `fetch_add`
+ * — no mutex, no CAS loop, no allocation, ever.
  *
  * Determinism contract: hot metrics are *observational only*. They are
  * written from concurrently executing workers and read at quiescence

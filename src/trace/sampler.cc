@@ -5,9 +5,8 @@
 
 namespace capo::trace {
 
-MetricsSampler::MetricsSampler(TraceSink &sink, MetricsRegistry *registry,
-                               double interval_ns)
-    : sink_(sink), registry_(registry), interval_ns_(interval_ns)
+MetricsSampler::MetricsSampler(TraceSink &sink, double interval_ns)
+    : sink_(sink), interval_ns_(interval_ns)
 {
     CAPO_ASSERT(interval_ns > 0.0, "sampling interval must be positive");
     track_ = sink_.registerTrack("counters");
@@ -19,8 +18,6 @@ MetricsSampler::addProbe(const std::string &name,
 {
     CAPO_ASSERT(read != nullptr, "null metric probe");
     probes_.push_back(Probe{sink_.internName(name), std::move(read)});
-    if (registry_)
-        registry_->histogram(name);  // reserve in registration order
 }
 
 void
@@ -36,13 +33,32 @@ MetricsSampler::resume(sim::Engine &engine)
         return sim::Action::exit();
     const double now = engine.now();
     for (const auto &probe : probes_) {
-        const double value = probe.read();
-        sink_.counter(track_, Category::Metrics, probe.name, now, value);
-        if (registry_)
-            registry_->histogram(probe.name).record(value);
+        sink_.counter(track_, Category::Metrics, probe.name, now,
+                      probe.read());
     }
     ++samples_;
     return sim::Action::sleepUntil(now + interval_ns_);
+}
+
+report::ResultTable
+counterSummaryTable(const TraceSink &sink)
+{
+    report::ResultTable table(
+        report::Schema{{"name", report::Type::String},
+                       {"count", report::Type::Uint},
+                       {"min", report::Type::Double},
+                       {"mean", report::Type::Double},
+                       {"max", report::Type::Double},
+                       {"stddev", report::Type::Double}});
+    for (const auto &counter : sink.counterSummaries()) {
+        table.addRow({report::Value::str(counter.name),
+                      report::Value::uinteger(counter.count),
+                      report::Value::dbl(counter.min),
+                      report::Value::dbl(counter.mean()),
+                      report::Value::dbl(counter.max),
+                      report::Value::dbl(counter.stddev())});
+    }
+    return table;
 }
 
 } // namespace capo::trace

@@ -5,9 +5,13 @@
  * A MetricsSampler is a lightweight agent that wakes on a fixed
  * sim-time interval and reads a set of probes (heap occupancy, live
  * bytes, runnable agents, collector CPU, ...). Every reading is
- * emitted as a counter event on the sink's counter track *and*
- * recorded into a same-named histogram in the MetricsRegistry, so the
- * Perfetto counter tracks and the CSV summary describe the same data.
+ * emitted as a counter event on the sink's counter track, and the
+ * sink keeps a running summary per probe next to its events (see
+ * CounterSummary). Parallel sweeps fold the shards' summaries in grid
+ * order, so the summary table (metrics.csv) describes exactly the
+ * samples the trace recorded — including any its ring later
+ * overwrote, none from failed attempts, none when the metrics
+ * category is filtered out — and is the same at any --jobs.
  *
  * The sampler samples once at t=0 and then every interval; it exits at
  * the first wake-up after requestStop(), so a run's wall clock can
@@ -22,8 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "report/table.hh"
 #include "sim/agent.hh"
-#include "trace/metrics_registry.hh"
 #include "trace/sink.hh"
 
 namespace capo::sim {
@@ -33,18 +37,16 @@ class Engine;
 namespace capo::trace {
 
 /**
- * Agent that periodically samples probes into a sink and registry.
+ * Agent that periodically samples probes into a sink.
  */
 class MetricsSampler : public sim::Agent
 {
   public:
     /**
      * @param sink Destination for counter events.
-     * @param registry Optional aggregate store (histogram per probe).
      * @param interval_ns Sim-time between samples (> 0).
      */
-    MetricsSampler(TraceSink &sink, MetricsRegistry *registry,
-                   double interval_ns);
+    MetricsSampler(TraceSink &sink, double interval_ns);
 
     /** Register a probe before attach(); @p read must stay valid for
      *  the duration of the run. */
@@ -68,13 +70,19 @@ class MetricsSampler : public sim::Agent
     };
 
     TraceSink &sink_;
-    MetricsRegistry *registry_;
     double interval_ns_;
     TrackId track_ = 0;
     std::vector<Probe> probes_;
     std::size_t samples_ = 0;
     bool stop_requested_ = false;
 };
+
+/**
+ * The sink's counter summaries as a result table (metrics.csv): one
+ * row per probe in order of first sample, columns name, count, min,
+ * mean, max, stddev.
+ */
+report::ResultTable counterSummaryTable(const TraceSink &sink);
 
 } // namespace capo::trace
 

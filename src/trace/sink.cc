@@ -1,5 +1,7 @@
 #include "trace/sink.hh"
 
+#include <algorithm>
+#include <cmath>
 #include <mutex>
 #include <sstream>
 
@@ -84,6 +86,44 @@ parseCategories(const std::string &spec)
     return mask;
 }
 
+void
+CounterSummary::add(double value)
+{
+    min = count == 0 ? value : std::min(min, value);
+    max = count == 0 ? value : std::max(max, value);
+    ++count;
+    sum += value;
+    sum_sq += value * value;
+}
+
+void
+CounterSummary::fold(const CounterSummary &other)
+{
+    if (other.count == 0)
+        return;
+    min = count == 0 ? other.min : std::min(min, other.min);
+    max = count == 0 ? other.max : std::max(max, other.max);
+    count += other.count;
+    sum += other.sum;
+    sum_sq += other.sum_sq;
+}
+
+double
+CounterSummary::mean() const
+{
+    return count == 0 ? 0.0 : sum / static_cast<double>(count);
+}
+
+double
+CounterSummary::stddev() const
+{
+    if (count < 2)
+        return 0.0;
+    const double m = mean();
+    return std::sqrt(
+        std::max(0.0, sum_sq / static_cast<double>(count) - m * m));
+}
+
 TraceSink::TraceSink(const Options &options)
     : mask_(options.categories), capacity_(options.track_capacity)
 {
@@ -124,6 +164,7 @@ TraceSink::reset(const Options &options)
     }
     tracks_.clear();
     track_by_name_.clear();
+    summaries_.clear();
     // interned_ stays: pointers are stable and lookups are by content.
 }
 
@@ -156,6 +197,18 @@ TraceSink::push(TrackId track, const TraceEvent &event)
     else
         t.ring[t.head % capacity_] = event;
     ++t.head;
+}
+
+CounterSummary &
+TraceSink::summary(const char *name)
+{
+    // A sampler has a handful of probes: a linear scan beats a map.
+    for (auto &summary : summaries_) {
+        if (summary.name == name)
+            return summary;
+    }
+    summaries_.push_back(CounterSummary{name});
+    return summaries_.back();
 }
 
 std::vector<TraceEvent>
@@ -249,6 +302,8 @@ TraceSink::merge(const TraceSink &shard, double offset)
             push(track, event);
         }
     }
+    for (const auto &counter : shard.summaries_)
+        summary(counter.name.c_str()).fold(counter);
 }
 
 std::uint64_t

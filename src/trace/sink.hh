@@ -87,6 +87,31 @@ struct TraceEvent
 using TrackId = std::uint32_t;
 
 /**
+ * Running summary of one Metrics-category counter: count, extremes,
+ * sum and sum of squares of every sample the sink accepted, including
+ * samples its ring has since overwritten.
+ */
+struct CounterSummary
+{
+    std::string name;
+    std::uint64_t count = 0;
+    double min = 0.0;
+    double max = 0.0;
+    double sum = 0.0;
+    double sum_sq = 0.0;
+
+    void add(double value);
+
+    /** Fold @p other's samples in, as if added after these. */
+    void fold(const CounterSummary &other);
+
+    double mean() const;
+
+    /** Population standard deviation; 0 below two samples. */
+    double stddev() const;
+};
+
+/**
  * Bounded multi-track event store with category filtering.
  *
  * Timestamps: emitters inside a simulation stamp events with the
@@ -158,12 +183,17 @@ class TraceSink
             push(track, {name, base_ + ts, value, cat, EventKind::Instant});
     }
 
+    /** A Metrics-category sample also feeds its name's running
+     *  summary (counterSummaries()). */
     void
     counter(TrackId track, Category cat, const char *name, double ts,
             double value)
     {
-        if (wants(cat))
-            push(track, {name, base_ + ts, value, cat, EventKind::Counter});
+        if (!wants(cat))
+            return;
+        push(track, {name, base_ + ts, value, cat, EventKind::Counter});
+        if (cat == Category::Metrics)
+            summary(name).add(value);
     }
     /** @} */
 
@@ -221,9 +251,12 @@ class TraceSink
 
     /**
      * Append every event of @p shard, shifted by @p offset ns, onto
-     * this sink's same-named tracks (registered on demand). Event
-     * names are re-interned here, so the shard may be destroyed
-     * afterwards. Single-threaded, like every other mutation.
+     * this sink's same-named tracks (registered on demand), and fold
+     * its counter summaries into this sink's. Event names are
+     * re-interned here, so the shard may be destroyed afterwards.
+     * Single-threaded, like every other mutation; callers merge
+     * shards in grid order, so the folded sums are the same at any
+     * --jobs.
      */
     void merge(const TraceSink &shard, double offset);
 
@@ -239,6 +272,14 @@ class TraceSink
 
     /** Retained events across all tracks. */
     std::size_t eventCount() const;
+
+    /** One summary per Metrics counter name, in order of first
+     *  sample. */
+    const std::vector<CounterSummary> &
+    counterSummaries() const
+    {
+        return summaries_;
+    }
     /** @} */
 
   private:
@@ -250,6 +291,9 @@ class TraceSink
 
     void push(TrackId track, const TraceEvent &event);
 
+    /** The summary of counter @p name, created on its first sample. */
+    CounterSummary &summary(const char *name);
+
     std::uint32_t mask_;
     std::size_t capacity_;
     double base_ = 0.0;
@@ -257,6 +301,7 @@ class TraceSink
     std::map<std::string, TrackId> track_by_name_;
     std::deque<std::string> interned_;
     std::map<std::string, const char *> interned_by_name_;
+    std::vector<CounterSummary> summaries_;
 
     /** Cleared rings of reset tracks, recycled by registerTrack. */
     std::vector<std::vector<TraceEvent>> spare_rings_;

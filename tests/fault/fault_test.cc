@@ -11,7 +11,6 @@
 #include <array>
 #include <cmath>
 #include <numeric>
-#include <sstream>
 #include <vector>
 
 #include "exec/parallel_for.hh"
@@ -19,7 +18,7 @@
 #include "fault/fault.hh"
 #include "harness/lbo_experiment.hh"
 #include "harness/runner.hh"
-#include "metrics/export.hh"
+#include "metrics/lbo.hh"
 #include "report/artifact.hh"
 #include "trace/hot_metrics.hh"
 #include "workloads/registry.hh"
@@ -272,11 +271,8 @@ TEST(FaultSweepTest, FaultySweepIsBitIdenticalAcrossJobs)
     // function of cell coordinates, never of scheduling.
     expectErrorsIdentical(serial.errors, parallel.errors);
     EXPECT_EQ(serial.dispatches, parallel.dispatches);
-
-    std::stringstream a, b;
-    metrics::exportLboCsv(serial.analysis, a);
-    metrics::exportLboCsv(parallel.analysis, b);
-    EXPECT_EQ(a.str(), b.str());
+    EXPECT_TRUE(metrics::lboTable(serial.analysis)
+                    .identical(metrics::lboTable(parallel.analysis)));
 }
 
 TEST(FaultSweepTest, FailuresAreQuarantinedNotFatal)

@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,7 +20,7 @@
 #include "harness/latency_experiment.hh"
 #include "harness/lbo_experiment.hh"
 #include "harness/minheap.hh"
-#include "metrics/export.hh"
+#include "metrics/lbo.hh"
 #include "report/codec.hh"
 #include "workloads/registry.hh"
 
@@ -208,15 +207,13 @@ TEST(CheckpointJournalTest, CompactedFileResumesIdentically)
     sweep.base.invocations = 1;
     sweep.base.time_limit_sec = 300;
 
-    std::string full_csv;
+    report::ResultTable full;
     {
         auto journal =
             CheckpointJournal::open(path, kHash, false, error);
         ASSERT_NE(journal, nullptr) << error;
         sweep.journal = journal.get();
-        std::stringstream out;
-        metrics::exportLboCsv(runLboSweep(fop, sweep).analysis, out);
-        full_csv = out.str();
+        full = metrics::lboTable(runLboSweep(fop, sweep).analysis);
         ASSERT_TRUE(journal->compact());
     }
     auto journal = CheckpointJournal::open(path, kHash, true, error);
@@ -225,9 +222,7 @@ TEST(CheckpointJournalTest, CompactedFileResumesIdentically)
     sweep.journal = journal.get();
     const auto resumed = runLboSweep(fop, sweep);
     EXPECT_EQ(resumed.restored_cells, 2u);
-    std::stringstream out;
-    metrics::exportLboCsv(resumed.analysis, out);
-    EXPECT_EQ(out.str(), full_csv);
+    EXPECT_TRUE(metrics::lboTable(resumed.analysis).identical(full));
     std::remove(path.c_str());
 }
 
@@ -247,12 +242,10 @@ sweepOptions(int jobs)
     return sweep;
 }
 
-std::string
-sweepCsv(const WorkloadLbo &result)
+report::ResultTable
+sweepTable(const WorkloadLbo &result)
 {
-    std::stringstream out;
-    metrics::exportLboCsv(result.analysis, out);
-    return out.str();
+    return metrics::lboTable(result.analysis);
 }
 
 TEST(ResumeSweepTest, ResumeFromAnyPrefixIsBitIdentical)
@@ -263,7 +256,7 @@ TEST(ResumeSweepTest, ResumeFromAnyPrefixIsBitIdentical)
 
     // Uninterrupted reference run, journaling as it goes.
     auto sweep = sweepOptions(1);
-    std::string full_csv;
+    report::ResultTable full;
     {
         auto journal =
             CheckpointJournal::open(path, kHash, false, error);
@@ -271,7 +264,7 @@ TEST(ResumeSweepTest, ResumeFromAnyPrefixIsBitIdentical)
         sweep.journal = journal.get();
         const auto result = runLboSweep(fop, sweep);
         EXPECT_EQ(result.restored_cells, 0u);
-        full_csv = sweepCsv(result);
+        full = sweepTable(result);
         // Ten cells (5 collectors x 2 factors), one record each.
         EXPECT_EQ(journal->entryCount(), 10u);
     }
@@ -297,7 +290,7 @@ TEST(ResumeSweepTest, ResumeFromAnyPrefixIsBitIdentical)
             resumed.journal = journal.get();
             const auto result = runLboSweep(fop, resumed);
             EXPECT_EQ(result.restored_cells, keep - 1);
-            EXPECT_EQ(sweepCsv(result), full_csv)
+            EXPECT_TRUE(sweepTable(result).identical(full))
                 << "prefix " << keep << " jobs " << jobs;
             // The journal is complete again after the resumed run.
             EXPECT_EQ(journal->entryCount(), 10u);
@@ -313,13 +306,13 @@ TEST(ResumeSweepTest, TornLineResumesAndRerunsThatCell)
     std::string error;
 
     auto sweep = sweepOptions(1);
-    std::string full_csv;
+    report::ResultTable full;
     {
         auto journal =
             CheckpointJournal::open(path, kHash, false, error);
         ASSERT_NE(journal, nullptr) << error;
         sweep.journal = journal.get();
-        full_csv = sweepCsv(runLboSweep(fop, sweep));
+        full = sweepTable(runLboSweep(fop, sweep));
     }
     std::ifstream in(path, std::ios::binary);
     std::string contents((std::istreambuf_iterator<char>(in)),
@@ -335,7 +328,7 @@ TEST(ResumeSweepTest, TornLineResumesAndRerunsThatCell)
     resumed.journal = journal.get();
     const auto result = runLboSweep(fop, resumed);
     EXPECT_EQ(result.restored_cells, 9u);
-    EXPECT_EQ(sweepCsv(result), full_csv);
+    EXPECT_TRUE(sweepTable(result).identical(full));
     std::remove(path.c_str());
 }
 
@@ -498,7 +491,10 @@ TEST(ResumeSweepTest, MalformedMinHeapFieldRerunsThatCell)
 std::string
 lboText(const WorkloadLbo &result)
 {
-    std::string text = sweepCsv(result);
+    const auto table = sweepTable(result);
+    std::string text;
+    for (std::size_t i = 0; i < table.rowCount(); ++i)
+        text += report::encodeRecord(table.encodeRow(i));
     for (const auto &e : result.errors) {
         text += e.workload + "," + e.collector + "," +
                 report::encodeDouble(e.heap_factor) + "," +

@@ -39,7 +39,7 @@
 
 #include "gc/factory.hh"
 #include "harness/lbo_experiment.hh"
-#include "metrics/export.hh"
+#include "metrics/lbo.hh"
 #include "report/codec.hh"
 #include "runtime/execution.hh"
 #include "sim/agent.hh"
@@ -257,10 +257,8 @@ TEST(PauseDeterminismTest, LboSweepBitwiseAcrossJobs)
     const auto parallel = runLboSweep(fop, sweep);
 
     EXPECT_EQ(serial.dispatches, parallel.dispatches);
-    std::stringstream a, b;
-    metrics::exportLboCsv(serial.analysis, a);
-    metrics::exportLboCsv(parallel.analysis, b);
-    EXPECT_EQ(a.str(), b.str());
+    EXPECT_TRUE(metrics::lboTable(serial.analysis)
+                    .identical(metrics::lboTable(parallel.analysis)));
 }
 
 // ---------------------------------------------------------------------

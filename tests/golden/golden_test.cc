@@ -33,7 +33,6 @@
 
 #include "harness/lbo_experiment.hh"
 #include "harness/runner.hh"
-#include "metrics/export.hh"
 #include "report/artifact.hh"
 #include "report/experiment.hh"
 #include "report/table.hh"
@@ -244,8 +243,22 @@ TEST(GoldenTest, FigAHeapTimeline)
         runner.runOnce(fop, gc::Algorithm::G1, fop.gc.gmd_mb * 2.0, 0);
     ASSERT_TRUE(run.usable());
 
+    report::ResultTable timeline(
+        report::Schema{{"end_ns", report::Type::Double},
+                       {"kind", report::Type::String},
+                       {"post_gc_bytes", report::Type::Double},
+                       {"reclaimed_bytes", report::Type::Double},
+                       {"traced_bytes", report::Type::Double}});
+    for (const auto &cycle : run.log.cycles()) {
+        timeline.addRow(
+            {report::Value::dbl(cycle.end),
+             report::Value::str(runtime::phaseName(cycle.kind)),
+             report::Value::dbl(cycle.post_gc_bytes),
+             report::Value::dbl(cycle.reclaimed),
+             report::Value::dbl(cycle.traced)});
+    }
     std::stringstream out;
-    metrics::exportHeapTimelineCsv(run.log, out);
+    timeline.writeCsv(out);
     expectMatchesGolden("figA_heap_timeline.csv", out.str());
 }
 

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,9 +19,10 @@
 #include "harness/lbo_experiment.hh"
 #include "harness/minheap.hh"
 #include "harness/runner.hh"
-#include "metrics/export.hh"
+#include "metrics/lbo.hh"
 #include "testutil/sinks.hh"
 #include "trace/chrome_export.hh"
+#include "trace/sampler.hh"
 #include "trace/sink.hh"
 #include "workloads/registry.hh"
 
@@ -114,11 +116,8 @@ TEST(DeterminismTest, LboTablesIdenticalAcrossJobsAllCollectors)
                           parallel[w].completedAt(name, factor));
             }
         }
-
-        std::stringstream a, b;
-        metrics::exportLboCsv(serial[w].analysis, a);
-        metrics::exportLboCsv(parallel[w].analysis, b);
-        EXPECT_EQ(a.str(), b.str());
+        EXPECT_TRUE(metrics::lboTable(serial[w].analysis)
+                        .identical(metrics::lboTable(parallel[w].analysis)));
     }
 
     // Bit patterns, not values: -0.0 vs 0.0 or a NaN payload would be
@@ -141,6 +140,34 @@ TEST(DeterminismTest, LboTablesIdenticalAcrossJobsAllCollectors)
         EXPECT_EQ(bits(a.cpu_geomean), bits(b.cpu_geomean))
             << a.collector << " @ " << a.factor;
     }
+}
+
+TEST(DeterminismTest, TracedLboSweepMetricsSummaryIdenticalAcrossJobs)
+{
+    // runbms' lbo_<w>.csv and metrics.csv for a traced, sampled
+    // sweep: both tables must be bitwise identical at j1 and j8.
+    LboSweepOptions sweep;
+    sweep.factors = {2.0, 4.0};
+    sweep.collectors = {gc::Algorithm::Serial, gc::Algorithm::G1};
+    sweep.base = baseOptions(1);
+    sweep.base.metrics_interval_ms = 10.0;
+
+    const auto tables = [&](int jobs) {
+        trace::TraceSink sink;
+        sweep.base.jobs = jobs;
+        sweep.base.trace = &sink;
+        const auto result = runLboSweep(workloads::byName("fop"), sweep);
+        sweep.base.trace = nullptr;
+        return std::pair{metrics::lboTable(result.analysis),
+                         trace::counterSummaryTable(sink)};
+    };
+    const auto [serial_lbo, serial_metrics] = tables(1);
+    const auto [parallel_lbo, parallel_metrics] = tables(8);
+
+    EXPECT_EQ(serial_lbo.rowCount(), 4u);
+    EXPECT_TRUE(serial_lbo.identical(parallel_lbo));
+    EXPECT_EQ(serial_metrics.rowCount(), 5u);
+    EXPECT_TRUE(serial_metrics.identical(parallel_metrics));
 }
 
 TEST(DeterminismTest, MinHeapGridIdenticalAcrossJobs)

@@ -1,8 +1,9 @@
 /**
  * @file
- * Edge-case tests for the CSV exporters: empty inputs, single-event
- * recorders, degenerate smoothing windows, and golden header rows so a
- * column rename can't silently break downstream plotting scripts.
+ * Edge-case tests for the CSV tables (raw latency log, counter
+ * summaries): empty inputs, single-event recorders, degenerate
+ * smoothing windows, and golden header rows so a column rename can't
+ * silently break downstream plotting scripts.
  */
 
 #include <gtest/gtest.h>
@@ -11,10 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "metrics/export.hh"
 #include "metrics/latency.hh"
-#include "runtime/gc_event_log.hh"
-#include "trace/metrics_registry.hh"
+#include "trace/sampler.hh"
+#include "trace/sink.hh"
 
 namespace capo::metrics {
 namespace {
@@ -34,7 +34,7 @@ TEST(LatencyExportEdgeTest, EmptyRecorderWritesHeaderOnly)
 {
     LatencyRecorder recorder;
     std::stringstream out;
-    EXPECT_EQ(exportLatencyCsv(recorder, 100e6, out), 0u);
+    EXPECT_EQ(latencyTable(recorder, 100e6).writeCsv(out), 0u);
     const auto lines = splitLines(out.str());
     ASSERT_EQ(lines.size(), 1u);
     EXPECT_EQ(lines[0], "intended_ns,start_ns,end_ns,intended_lat_ns,simple_ns,metered_ns");
@@ -45,7 +45,7 @@ TEST(LatencyExportEdgeTest, SingleEventRoundTrips)
     LatencyRecorder recorder;
     recorder.record(100.0, 350.0);
     std::stringstream out;
-    EXPECT_EQ(exportLatencyCsv(recorder, 100e6, out), 1u);
+    EXPECT_EQ(latencyTable(recorder, 100e6).writeCsv(out), 1u);
     const auto lines = splitLines(out.str());
     ASSERT_EQ(lines.size(), 2u);
     EXPECT_EQ(lines[1], "100,100,350,250,250,250");
@@ -59,7 +59,7 @@ TEST(LatencyExportEdgeTest, ZeroWindowSelectsFullSmoothing)
     recorder.record(100.0, 130.0);
     recorder.record(200.0, 260.0);
     std::stringstream out;
-    EXPECT_EQ(exportLatencyCsv(recorder, 0.0, out), 3u);
+    EXPECT_EQ(latencyTable(recorder, 0.0).writeCsv(out), 3u);
 
     const auto full = recorder.meteredLatencies(0.0);
     ASSERT_EQ(full.size(), 3u);
@@ -67,61 +67,30 @@ TEST(LatencyExportEdgeTest, ZeroWindowSelectsFullSmoothing)
         EXPECT_GE(latency, 0.0);
 }
 
-TEST(PercentileExportEdgeTest, EmptyAndHeader)
+TEST(MetricsExportEdgeTest, EmptySinkWritesHeaderOnly)
 {
+    trace::TraceSink sink;
     std::stringstream out;
-    exportPercentileCsv({}, out);
-    const auto lines = splitLines(out.str());
-    ASSERT_GE(lines.size(), 1u);
-    EXPECT_EQ(lines[0], "percentile,latency_ms");
-}
-
-TEST(HeapTimelineExportEdgeTest, EmptyLogWritesHeaderOnly)
-{
-    runtime::GcEventLog log;
-    std::stringstream out;
-    EXPECT_EQ(exportHeapTimelineCsv(log, out), 0u);
+    EXPECT_EQ(trace::counterSummaryTable(sink).writeCsv(out), 0u);
     const auto lines = splitLines(out.str());
     ASSERT_EQ(lines.size(), 1u);
-    EXPECT_EQ(lines[0],
-              "end_ns,kind,post_gc_bytes,reclaimed_bytes,traced_bytes");
+    EXPECT_EQ(lines[0], "name,count,min,mean,max,stddev");
 }
 
-TEST(MetricsExportEdgeTest, EmptyRegistryWritesHeaderOnly)
+TEST(MetricsExportEdgeTest, CounterRowsInFirstSampleOrder)
 {
-    trace::MetricsRegistry registry;
-    std::stringstream out;
-    EXPECT_EQ(exportMetricsCsv(registry, out), 0u);
-    const auto lines = splitLines(out.str());
-    ASSERT_EQ(lines.size(), 1u);
-    EXPECT_EQ(lines[0], "name,kind,count,min,mean,max,stddev,last");
-}
-
-TEST(MetricsExportEdgeTest, HistogramRowsInRegistrationOrder)
-{
-    trace::MetricsRegistry registry;
-    auto &h = registry.histogram("pause");
-    h.record(2.0);
-    h.record(4.0);
-    registry.histogram("level").record(0.25);
+    trace::TraceSink sink;
+    const auto track = sink.registerTrack("counters");
+    sink.counter(track, trace::Category::Metrics, "pause", 0.0, 2.0);
+    sink.counter(track, trace::Category::Metrics, "level", 0.0, 0.25);
+    sink.counter(track, trace::Category::Metrics, "pause", 1.0, 4.0);
 
     std::stringstream out;
-    EXPECT_EQ(exportMetricsCsv(registry, out), 2u);
+    EXPECT_EQ(trace::counterSummaryTable(sink).writeCsv(out), 2u);
     const auto lines = splitLines(out.str());
     ASSERT_EQ(lines.size(), 3u);
-    EXPECT_EQ(lines[1], "pause,histogram,2,2,3,4,1,4");
-    EXPECT_EQ(lines[2], "level,histogram,1,0.25,0.25,0.25,0,0.25");
-}
-
-TEST(MetricsExportEdgeTest, EmptyHistogramRowIsAllZeros)
-{
-    trace::MetricsRegistry registry;
-    registry.histogram("quiet");
-    std::stringstream out;
-    EXPECT_EQ(exportMetricsCsv(registry, out), 1u);
-    const auto lines = splitLines(out.str());
-    ASSERT_EQ(lines.size(), 2u);
-    EXPECT_EQ(lines[1], "quiet,histogram,0,0,0,0,0,0");
+    EXPECT_EQ(lines[1], "pause,2,2,3,4,1");
+    EXPECT_EQ(lines[2], "level,1,0.25,0.25,0.25,0");
 }
 
 } // namespace

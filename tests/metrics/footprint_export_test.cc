@@ -1,14 +1,16 @@
 /**
  * @file
- * Tests for the footprint extension metric and the CSV export paths.
+ * Tests for the footprint extension metric and the CSV tables of the
+ * raw latency log and the LBO analysis.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "metrics/export.hh"
 #include "metrics/footprint.hh"
+#include "metrics/latency.hh"
+#include "metrics/lbo.hh"
 
 namespace capo::metrics {
 namespace {
@@ -66,24 +68,12 @@ TEST(ExportTest, LatencyCsvHasOneRowPerEvent)
     rec.record(0.0, 10.0);
     rec.record(20.0, 35.0);
     std::ostringstream out;
-    const auto rows = exportLatencyCsv(rec, 0.0, out);
+    const auto rows = latencyTable(rec, 0.0).writeCsv(out);
     EXPECT_EQ(rows, 2u);
     const std::string text = out.str();
     EXPECT_NE(text.find("intended_ns,start_ns,end_ns,intended_lat_ns,simple_ns,metered_ns"),
               std::string::npos);
     EXPECT_NE(text.find("20,20,35,15,15"), std::string::npos);
-}
-
-TEST(ExportTest, PercentileCsvCoversPaperPoints)
-{
-    std::vector<double> latencies;
-    for (int i = 1; i <= 100; ++i)
-        latencies.push_back(i * 1e6);
-    std::ostringstream out;
-    const auto rows = exportPercentileCsv(latencies, out);
-    EXPECT_EQ(rows, paperPercentiles().size());
-    EXPECT_NE(out.str().find("percentile,latency_ms"),
-              std::string::npos);
 }
 
 TEST(ExportTest, LboCsvListsEveryConfiguration)
@@ -93,17 +83,9 @@ TEST(ExportTest, LboCsvListsEveryConfiguration)
     lbo.add("Serial", 4.0, RunCost{90.0, 180.0, 5.0, 5.0});
     lbo.add("G1", 2.0, RunCost{95.0, 250.0, 8.0, 30.0});
     std::ostringstream out;
-    EXPECT_EQ(exportLboCsv(lbo, out), 3u);
+    EXPECT_EQ(lboTable(lbo).writeCsv(out), 3u);
     EXPECT_NE(out.str().find("Serial,2"), std::string::npos);
     EXPECT_NE(out.str().find("G1,2"), std::string::npos);
-}
-
-TEST(ExportTest, HeapTimelineCsvUsesPhaseNames)
-{
-    const auto log = sawtoothLog();
-    std::ostringstream out;
-    EXPECT_EQ(exportHeapTimelineCsv(log, out), 3u);
-    EXPECT_NE(out.str().find("young"), std::string::npos);
 }
 
 } // namespace

@@ -11,9 +11,9 @@
 #include <cstdio>
 #include <fstream>
 
-#include "metrics/export.hh"
 #include "metrics/latency.hh"
 #include "metrics/lbo.hh"
+#include "report/artifact.hh"
 #include "support/rng.hh"
 
 namespace capo::metrics {
@@ -138,15 +138,15 @@ TEST_P(MeteredFuzz, LaneRunsWithTiedStartsHoldLimits)
 INSTANTIATE_TEST_SUITE_P(Seeds, MeteredFuzz,
                          ::testing::Values(3, 17, 99, 2024));
 
-TEST(ExportFileTest, WriteCsvFileRoundTrips)
+TEST(ExportFileTest, ArtifactCsvRoundTrips)
 {
     const std::string path = "/tmp/capo_export_test.csv";
     LatencyRecorder rec;
     rec.record(0.0, 5.0);
     rec.record(10.0, 30.0);
-    writeCsvFile(path, [&](std::ostream &out) {
-        exportLatencyCsv(rec, 0.0, out);
-    });
+    report::ArtifactSink artifacts(".");
+    ASSERT_TRUE(artifacts.writeTable(path, latencyTable(rec, 0.0),
+                                     report::Format::Csv));
 
     std::ifstream in(path);
     ASSERT_TRUE(in.good());
@@ -161,11 +161,16 @@ TEST(ExportFileTest, WriteCsvFileRoundTrips)
     std::remove(path.c_str());
 }
 
-TEST(ExportFileDeathTest, UnwritablePathIsFatal)
+TEST(ExportFileTest, UnwritablePathIsQuarantined)
 {
-    EXPECT_EXIT(writeCsvFile("/nonexistent/dir/file.csv",
-                             [](std::ostream &) {}),
-                ::testing::ExitedWithCode(1), "cannot open");
+    // A regular file cannot be a directory, so no write can land.
+    report::ArtifactSink artifacts(".");
+    EXPECT_FALSE(artifacts.writeTable("/dev/null/file.csv",
+                                      latencyTable(LatencyRecorder(), 0.0),
+                                      report::Format::Csv));
+    const auto lost = artifacts.quarantined();
+    ASSERT_EQ(lost.size(), 1u);
+    EXPECT_NE(lost[0].error.find("cannot open"), std::string::npos);
 }
 
 } // namespace

@@ -111,7 +111,7 @@ smallTable()
     return table;
 }
 
-TEST(TableTest, CsvWriterIsStable)
+TEST(TableTest, CsvIsStableAndExact)
 {
     std::stringstream out;
     EXPECT_EQ(smallTable().writeCsv(out), 2u);
@@ -128,6 +128,24 @@ TEST(TableTest, CsvWriterIsStable)
         std::strtod(csv.substr(line2_at + 3, comma).c_str(), nullptr);
     const double original = 1.0 / 3.0;
     EXPECT_EQ(std::memcmp(&reparsed, &original, sizeof original), 0);
+}
+
+TEST(TableTest, CsvQuotesFieldsPerRfc4180)
+{
+    // Commas, quotes and line breaks force quoting (quotes doubled);
+    // every other field, header names included, is written verbatim.
+    ResultTable table(Schema{{"a", Type::String}, {"b,c", Type::Int}});
+    table.addRow({Value::str("x"), Value::integer(-2)});
+    table.addRow({Value::str("hello, world"), Value::integer(0)});
+    table.addRow({Value::str("say \"hi\"\nok"), Value::integer(1)});
+    table.addRow({Value::str("cr\r"), Value::integer(2)});
+    std::stringstream out;
+    EXPECT_EQ(table.writeCsv(out), 4u);
+    EXPECT_EQ(out.str(), "a,\"b,c\"\n"
+                         "x,-2\n"
+                         "\"hello, world\",0\n"
+                         "\"say \"\"hi\"\"\nok\",1\n"
+                         "\"cr\r\",2\n");
 }
 
 TEST(TableTest, RowsRoundTripThroughRecords)

@@ -9,7 +9,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "support/csv.hh"
 #include "support/flags.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
@@ -163,34 +162,6 @@ TEST(RngTest, ForkedStreamsAreIndependentAndStable)
     Rng f2 = base.fork(2);
     EXPECT_EQ(f1.next(), f1_again.next());
     EXPECT_NE(f1.next(), f2.next());
-}
-
-TEST(CsvTest, WritesHeaderAndRows)
-{
-    std::ostringstream os;
-    CsvWriter csv(os);
-    csv.header({"a", "b"});
-    csv.beginRow();
-    csv.cell(std::string("x"));
-    csv.cell(1.5);
-    csv.endRow();
-    csv.beginRow();
-    csv.cell(std::int64_t{-2});
-    csv.cell(std::string("hello, world"));
-    csv.endRow();
-    EXPECT_EQ(os.str(), "a,b\nx,1.5\n-2,\"hello, world\"\n");
-    EXPECT_EQ(csv.rows(), 2u);
-}
-
-TEST(CsvTest, EscapesQuotesAndNewlines)
-{
-    std::ostringstream os;
-    CsvWriter csv(os);
-    csv.header({"v"});
-    csv.beginRow();
-    csv.cell(std::string("say \"hi\"\nok"));
-    csv.endRow();
-    EXPECT_EQ(os.str(), "v\n\"say \"\"hi\"\"\nok\"\n");
 }
 
 TEST(FlagsTest, ParsesAllForms)

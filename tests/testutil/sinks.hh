@@ -2,7 +2,8 @@
  * @file
  * Bitwise trace-sink comparison shared by the determinism suites: two
  * sinks match when every track has the same name and the same events
- * (name, timestamp, value, category, kind) in the same order.
+ * (name, timestamp, value, category, kind) in the same order, and
+ * their counter-summary tables are identical.
  */
 
 #ifndef CAPO_TESTS_TESTUTIL_SINKS_HH
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "trace/sampler.hh"
 #include "trace/sink.hh"
 
 namespace capo::testutil {
@@ -31,6 +33,8 @@ expectSinksIdentical(const trace::TraceSink &a, const trace::TraceSink &b)
             EXPECT_EQ(ea[i].kind, eb[i].kind);
         }
     }
+    EXPECT_TRUE(trace::counterSummaryTable(a).identical(
+        trace::counterSummaryTable(b)));
 }
 
 } // namespace capo::testutil

@@ -17,7 +17,7 @@
 
 #include "fault/fault.hh"
 #include "report/artifact.hh"
-#include "support/csv.hh"
+#include "report/table.hh"
 #include "trace/chrome_export.hh"
 #include "trace/sink.hh"
 
@@ -191,11 +191,11 @@ TEST(ChromeRoundTripTest, ArtifactSinkExportQuarantinesUnderFaults)
 // ---------------------------------------------------------------------
 // CSV round-trip.
 
-namespace capo::support {
+namespace capo::report {
 namespace {
 
-/** RFC-4180 reader matching CsvWriter's quoting; just enough for the
- *  round-trip checks. */
+/** RFC-4180 reader matching ResultTable::writeCsv's quoting; just
+ *  enough for the round-trip checks. */
 std::vector<std::vector<std::string>>
 parseCsv(const std::string &text)
 {
@@ -241,16 +241,11 @@ TEST(CsvRoundTripTest, QuotingRoundTripsHostileStrings)
         "multi\nline", "trailing,",     "\"\"",
         "",            "cr\rlf",
     };
+    ResultTable table(Schema{{"a", Type::String}, {"b", Type::String}});
+    for (std::size_t i = 0; i + 1 < hostile.size(); i += 2)
+        table.addRow({Value::str(hostile[i]), Value::str(hostile[i + 1])});
     std::stringstream out;
-    CsvWriter writer(out);
-    writer.header({"a", "b"});
-    for (std::size_t i = 0; i + 1 < hostile.size(); i += 2) {
-        writer.beginRow();
-        writer.cell(hostile[i]);
-        writer.cell(hostile[i + 1]);
-        writer.endRow();
-    }
-    EXPECT_EQ(writer.rows(), hostile.size() / 2);
+    EXPECT_EQ(table.writeCsv(out), hostile.size() / 2);
 
     const auto rows = parseCsv(out.str());
     ASSERT_EQ(rows.size(), 1 + hostile.size() / 2);
@@ -263,36 +258,29 @@ TEST(CsvRoundTripTest, QuotingRoundTripsHostileStrings)
     }
 }
 
-TEST(CsvRoundTripTest, NumbersRoundTripWithinFormatPrecision)
+TEST(CsvRoundTripTest, NumbersRoundTripExactly)
 {
-    // Doubles print with 12 significant digits: re-parsed values must
-    // agree to ~1e-11 relative — the documented (lossy) precision of
-    // the CSV path; exact bits go through the checkpoint journal
-    // instead.
+    // Doubles print with 17 significant digits, so every re-parsed
+    // value has the original's bits.
     const std::vector<double> values = {
         0.0,     1.0,          -1.5,          3.141592653589793,
         2.5e-17, 6.02214076e23, 123456789.25, -9.999999999e9,
+        0.1,     1.0 / 3.0,
     };
-    std::stringstream out;
-    CsvWriter writer(out);
-    writer.header({"v", "i", "u"});
+    ResultTable table(Schema{
+        {"v", Type::Double}, {"i", Type::Int}, {"u", Type::Uint}});
     for (double v : values) {
-        writer.beginRow();
-        writer.cell(v);
-        writer.cell(static_cast<std::int64_t>(-42));
-        writer.cell(static_cast<std::uint64_t>(1) << 63);
-        writer.endRow();
+        table.addRow({Value::dbl(v), Value::integer(-42),
+                      Value::uinteger(std::uint64_t{1} << 63)});
     }
+    std::stringstream out;
+    table.writeCsv(out);
     const auto rows = parseCsv(out.str());
     ASSERT_EQ(rows.size(), 1 + values.size());
     for (std::size_t i = 0; i < values.size(); ++i) {
         const auto &row = rows[1 + i];
         ASSERT_EQ(row.size(), 3u);
-        const double parsed = std::stod(row[0]);
-        if (values[i] == 0.0)
-            EXPECT_EQ(parsed, 0.0);
-        else
-            EXPECT_NEAR(parsed / values[i], 1.0, 1e-11);
+        EXPECT_EQ(std::stod(row[0]), values[i]) << row[0];
         EXPECT_EQ(row[1], "-42");
         EXPECT_EQ(row[2], "9223372036854775808");
     }
@@ -301,13 +289,12 @@ TEST(CsvRoundTripTest, NumbersRoundTripWithinFormatPrecision)
 TEST(CsvRoundTripTest, EmptyAndHeaderOnlyOutputs)
 {
     std::stringstream out;
-    CsvWriter writer(out);
-    EXPECT_EQ(writer.rows(), 0u);
-    writer.header({"only"});
+    EXPECT_EQ(ResultTable(Schema{{"only", Type::String}}).writeCsv(out),
+              0u);
     const auto rows = parseCsv(out.str());
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_EQ(rows[0], (std::vector<std::string>{"only"}));
 }
 
 } // namespace
-} // namespace capo::support
+} // namespace capo::report

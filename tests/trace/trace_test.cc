@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the tracing subsystem: TraceSink semantics, the metrics
- * registry, Chrome trace-event export (including a real JSON parse
+ * Tests for the tracing subsystem: TraceSink semantics, counter
+ * summaries, Chrome trace-event export (including a real JSON parse
  * with span-nesting and monotonicity checks), and an end-to-end run
  * cross-checking trace spans against the GcEventLog.
  */
@@ -10,6 +10,7 @@
 
 #include "testutil/json.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 #include <sstream>
@@ -17,10 +18,9 @@
 #include <vector>
 
 #include "harness/runner.hh"
-#include "metrics/export.hh"
 #include "runtime/gc_event_log.hh"
 #include "trace/chrome_export.hh"
-#include "trace/metrics_registry.hh"
+#include "trace/sampler.hh"
 #include "trace/sink.hh"
 #include "workloads/registry.hh"
 
@@ -142,66 +142,84 @@ TEST(TraceSinkTest, ParseCategoriesSpecs)
 }
 
 // ---------------------------------------------------------------------
-// MetricsRegistry.
+// Counter summaries.
 
-TEST(MetricsRegistryTest, HistogramLookupAndOrder)
+TEST(CounterSummaryTest, SummarizesMetricsCountersInFirstSampleOrder)
 {
-    MetricsRegistry registry;
-    registry.histogram("allocs").record(3.0);
-    registry.histogram("occupancy").record(0.5);
-    registry.histogram("allocs").record(1.0);
-
-    EXPECT_EQ(registry.histogram("allocs").count(), 2u);
-    EXPECT_DOUBLE_EQ(registry.histogram("occupancy").last(), 0.5);
-    EXPECT_TRUE(registry.contains("allocs"));
-    EXPECT_FALSE(registry.contains("missing"));
-    EXPECT_EQ(registry.size(), 2u);
-
-    // Registration order is preserved for reports.
-    ASSERT_EQ(registry.entries().size(), 2u);
-    EXPECT_EQ(registry.entries()[0].name, "allocs");
-    EXPECT_EQ(registry.entries()[1].name, "occupancy");
-}
-
-TEST(MetricsRegistryTest, HistogramSummaryStatistics)
-{
-    MetricsRegistry registry;
-    auto &h = registry.histogram("pause");
+    TraceSink sink;
+    const auto track = sink.registerTrack("counters");
     for (double v : {1.0, 2.0, 3.0, 4.0})
-        h.record(v);
+        sink.counter(track, Category::Metrics, "pause", v, v);
+    sink.counter(track, Category::Metrics, "level", 5.0, 0.5);
+    // Only the sampler's Metrics counters are summarized.
+    sink.counter(track, Category::Runtime, "mutator-speed", 6.0, 9.0);
 
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_DOUBLE_EQ(h.sum(), 10.0);
-    EXPECT_DOUBLE_EQ(h.min(), 1.0);
-    EXPECT_DOUBLE_EQ(h.max(), 4.0);
-    EXPECT_DOUBLE_EQ(h.mean(), 2.5);
-    EXPECT_NEAR(h.stddev(), 1.118, 1e-3);
-    EXPECT_DOUBLE_EQ(h.last(), 4.0);
+    const auto &summaries = sink.counterSummaries();
+    ASSERT_EQ(summaries.size(), 2u);
+    EXPECT_EQ(summaries[0].name, "pause");
+    EXPECT_EQ(summaries[0].count, 4u);
+    EXPECT_DOUBLE_EQ(summaries[0].sum, 10.0);
+    EXPECT_DOUBLE_EQ(summaries[0].min, 1.0);
+    EXPECT_DOUBLE_EQ(summaries[0].max, 4.0);
+    EXPECT_DOUBLE_EQ(summaries[0].mean(), 2.5);
+    EXPECT_NEAR(summaries[0].stddev(), 1.118, 1e-3);
+    EXPECT_EQ(summaries[1].name, "level");
+    EXPECT_DOUBLE_EQ(summaries[1].stddev(), 0.0);
 }
 
-TEST(MetricsRegistryTest, HistogramQuantilesAreBucketApproximate)
+TEST(CounterSummaryTest, KeepsSamplesTheRingOverwrote)
 {
-    Histogram h;
-    for (int i = 1; i <= 1000; ++i)
-        h.record(static_cast<double>(i));
-    // Log-bucketed: ~ +/- 15 % accuracy is the contract.
-    EXPECT_NEAR(h.quantile(0.5), 500.0, 500.0 * 0.16);
-    EXPECT_NEAR(h.quantile(0.99), 990.0, 990.0 * 0.16);
-    EXPECT_NEAR(h.quantile(1.0), 1000.0, 1000.0 * 0.16);
-    EXPECT_LE(h.quantile(1.0), 1000.0);
-    // Quantiles clamp into the observed range.
-    EXPECT_GE(h.quantile(0.0), 1.0);
+    TraceSink::Options options;
+    options.track_capacity = 4;
+    TraceSink sink(options);
+    const auto track = sink.registerTrack("counters");
+    for (int i = 0; i < 10; ++i) {
+        sink.counter(track, Category::Metrics, "n",
+                     static_cast<double>(i), static_cast<double>(i));
+    }
+    EXPECT_EQ(sink.droppedEvents(), 6u);
+    ASSERT_EQ(sink.counterSummaries().size(), 1u);
+    const auto &summary = sink.counterSummaries()[0];
+    EXPECT_EQ(summary.count, 10u);
+    EXPECT_DOUBLE_EQ(summary.min, 0.0);
+    EXPECT_DOUBLE_EQ(summary.sum, 45.0);
 }
 
-TEST(MetricsRegistryTest, HistogramHandlesZeroAndEmpty)
+TEST(CounterSummaryTest, FilteredCategoryLeavesNoSummary)
 {
-    Histogram h;
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-    h.record(0.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
-    EXPECT_DOUBLE_EQ(h.min(), 0.0);
+    TraceSink::Options options;
+    options.categories = static_cast<CategoryMask>(Category::Gc);
+    TraceSink sink(options);
+    sink.counter(sink.registerTrack("counters"), Category::Metrics, "x",
+                 1.0, 2.0);
+    EXPECT_TRUE(sink.counterSummaries().empty());
+}
+
+TEST(CounterSummaryTest, MergeFoldsShardsAndResetClears)
+{
+    TraceSink main;
+    TraceSink first(main.shardOptions());
+    TraceSink second(main.shardOptions());
+    first.counter(first.registerTrack("counters"), Category::Metrics,
+                  first.internName("heap"), 0.0, 2.0);
+    second.counter(second.registerTrack("counters"), Category::Metrics,
+                   second.internName("cpu"), 0.0, 7.0);
+    second.counter(second.registerTrack("counters"), Category::Metrics,
+                   second.internName("heap"), 1.0, 6.0);
+    main.merge(first, 0.0);
+    main.merge(second, 10.0);
+
+    const auto &summaries = main.counterSummaries();
+    ASSERT_EQ(summaries.size(), 2u);
+    EXPECT_EQ(summaries[0].name, "heap");
+    EXPECT_EQ(summaries[0].count, 2u);
+    EXPECT_DOUBLE_EQ(summaries[0].min, 2.0);
+    EXPECT_DOUBLE_EQ(summaries[0].max, 6.0);
+    EXPECT_DOUBLE_EQ(summaries[0].sum_sq, 40.0);
+    EXPECT_EQ(summaries[1].name, "cpu");
+
+    main.reset(main.shardOptions());
+    EXPECT_TRUE(main.counterSummaries().empty());
 }
 
 // ---------------------------------------------------------------------
@@ -375,7 +393,6 @@ class TracedRunTest : public ::testing::Test
         options.invocations = 1;
         options.time_limit_sec = 300;
         options.trace = &sink_;
-        options.metrics = &registry_;
         options.metrics_interval_ms = 5.0;
 
         harness::Runner runner(options);
@@ -407,7 +424,6 @@ class TracedRunTest : public ::testing::Test
     }
 
     TraceSink sink_;
-    MetricsRegistry registry_;
     runtime::ExecutionResult run_;
 };
 
@@ -476,13 +492,15 @@ TEST_F(TracedRunTest, CountersSampleHeapOccupancy)
     }
     EXPECT_GT(occupancy_samples, 10u);
 
-    // The same samples fed the registry histograms.
-    ASSERT_TRUE(registry_.contains("heap.occupied_bytes"));
-    const auto &h = registry_.histogram("heap.occupied_bytes");
-    EXPECT_EQ(h.count(), occupancy_samples);
-    EXPECT_GT(h.max(), 0.0);
-    ASSERT_TRUE(registry_.contains("agents.runnable"));
-    ASSERT_TRUE(registry_.contains("gc.cpu_ns"));
+    // The same samples fed the sink's per-probe summaries, in probe
+    // order.
+    const auto &summaries = sink_.counterSummaries();
+    ASSERT_EQ(summaries.size(), 5u);
+    EXPECT_EQ(summaries[0].name, "heap.occupied_bytes");
+    EXPECT_EQ(summaries[0].count, occupancy_samples);
+    EXPECT_GT(summaries[0].max, 0.0);
+    EXPECT_EQ(summaries[3].name, "agents.runnable");
+    EXPECT_EQ(summaries[4].name, "gc.cpu_ns");
 }
 
 TEST_F(TracedRunTest, ExportedJsonIsValidNestedAndMonotonic)
@@ -518,15 +536,31 @@ TEST_F(TracedRunTest, ExportedJsonIsValidNestedAndMonotonic)
         EXPECT_TRUE(stack.empty()) << "unclosed span on tid " << tid;
 }
 
-TEST_F(TracedRunTest, MetricsCsvSummarizesRegistry)
+TEST_F(TracedRunTest, MetricsTableSummarizesCounterTrack)
 {
+    // Recompute every probe's row from the exported counter events:
+    // metrics.csv describes exactly the samples of the trace.
+    std::map<std::string, std::vector<double>> samples;
+    for (const auto &e : sink_.events(trackByName("counters")))
+        samples[e.name].push_back(e.value);
+
+    const auto table = counterSummaryTable(sink_);
     std::stringstream out;
-    const auto rows = metrics::exportMetricsCsv(registry_, out);
-    EXPECT_EQ(rows, registry_.size());
-    const std::string text = out.str();
-    EXPECT_EQ(text.find("name,kind,count,min,mean,max,stddev,last"), 0u);
-    EXPECT_NE(text.find("heap.occupied_bytes,histogram"),
-              std::string::npos);
+    EXPECT_EQ(table.writeCsv(out), samples.size());
+    EXPECT_EQ(out.str().find("name,count,min,mean,max,stddev\n"), 0u);
+    for (const auto &row : table.rows()) {
+        const auto &values = samples[row[0].asString()];
+        ASSERT_EQ(row[1].asUint(), values.size()) << row[0].asString();
+        EXPECT_EQ(row[2].asDouble(),
+                  *std::min_element(values.begin(), values.end()));
+        EXPECT_EQ(row[4].asDouble(),
+                  *std::max_element(values.begin(), values.end()));
+        double sum = 0.0;
+        for (double v : values)
+            sum += v;
+        EXPECT_EQ(row[3].asDouble(),
+                  sum / static_cast<double>(values.size()));
+    }
 }
 
 TEST(TracedRunOverheadTest, DisabledTracingChangesNothing)
